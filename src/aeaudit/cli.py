@@ -236,10 +236,15 @@ def _baseline_min(path) -> float:
             col = header.index("score")
         except ValueError:
             raise InputDomainError(f"{path}: baseline CSV needs a 'score' column")
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
-            value = float(line.split(",")[col])
+            try:
+                value = float(line.split(",")[col])
+            except (IndexError, ValueError):
+                raise InputDomainError(
+                    f"{path}:{lineno}: baseline row has no numeric 'score' cell"
+                ) from None
             best = value if best is None else min(best, value)
     if best is None:
         raise InputDomainError(f"{path}: baseline CSV has no rows")

@@ -13,14 +13,19 @@ import math
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(z: int) -> int:
+    """splitmix64's output function of one 64-bit state."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def _splitmix64_next(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, z ^ (z >> 31)
+    state = (state + _GAMMA) & _MASK64
+    return state, _mix(state)
 
 
 def splitmix64(seed: int, count: int) -> list[int]:
@@ -34,10 +39,16 @@ def splitmix64(seed: int, count: int) -> list[int]:
 
 
 def derive_seed(master: int, stream: int) -> int:
-    """Deterministic sub-seed: the (stream+1)-th splitmix64 output of master."""
+    """Deterministic sub-seed: the (stream+1)-th splitmix64 output of master.
+
+    splitmix64's state is an additive counter, so that output has the closed
+    form mix((master + (stream+1)*gamma) mod 2**64) and costs O(1) for any
+    stream (Steele, Lea & Flood, "Fast Splittable Pseudorandom Number
+    Generators", OOPSLA 2014). `splitmix64` remains the iterated reference.
+    """
     if stream < 0:
         raise ValueError(f"stream must be >= 0, got {stream}")
-    return splitmix64(master, stream + 1)[-1]
+    return _mix((master + (stream + 1) * _GAMMA) & _MASK64)
 
 
 def _rotl(x: int, k: int) -> int:

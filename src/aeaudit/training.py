@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +25,15 @@ from .rng import Rng, derive_seed
 logger = logging.getLogger(__name__)
 
 OPTIMIZERS = ("sgd", "adam")
+
+# TrainConfig field annotation -> accepted runtime types
+_FIELD_TYPES = {
+    "int": numbers.Integral,
+    "float": numbers.Real,
+    "str": str,
+    "bool": bool,
+    "str | None": (str, type(None)),
+}
 
 
 @dataclass(frozen=True)
@@ -44,6 +54,13 @@ class TrainConfig:
     checkpoint_dir: str | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass: accept it for bool fields only
+            if not isinstance(value, _FIELD_TYPES[f.type]) or (
+                isinstance(value, bool) and f.type != "bool"
+            ):
+                raise InputDomainError(f"{f.name} must be {f.type}, got {value!r}")
         if self.learning_rate <= 0:
             raise InputDomainError("learning_rate must be > 0")
         if self.batch_size < 1:
@@ -191,19 +208,42 @@ def input_gradient(model: AutoencoderModel, a: np.ndarray) -> tuple[float, np.nd
     return loss, grad
 
 
+def _pack(params: list[dict]) -> np.ndarray:
+    """Copy every tensor into one contiguous float64 buffer.
+
+    Each dict entry is rebound to a view into the buffer, so updating the
+    buffer in place updates every tensor the dicts name.
+    """
+    flat = np.empty(sum(p.size for d in params for p in d.values()), dtype=np.float64)
+    offset = 0
+    for d in params:
+        for name, p in d.items():
+            view = flat[offset : offset + p.size].reshape(p.shape)
+            view[...] = p
+            d[name] = view
+            offset += p.size
+    return flat
+
+
 class Sgd:
+    """Plain gradient descent on one flat parameter buffer (see `_pack`)."""
+
     def __init__(self, params: list[dict], learning_rate: float) -> None:
         self.params = params
+        self.flat = _pack(params)
         self.lr = learning_rate
 
     def step(self, grads: list[dict]) -> None:
-        for p, g in zip(self.params, grads):
-            for name in p:
-                p[name] -= self.lr * g[name]
+        self.flat -= self.lr * _concat(self.params, grads)
 
 
 class Adam:
-    """Adam with bias correction; a zero gradient on fresh state is a no-op."""
+    """Adam with bias correction; a zero gradient on fresh state is a no-op.
+
+    The parameters live in one flat buffer (see `_pack`) and the moments are
+    flat vectors of the same length, so a step is a few whole-vector
+    operations with the textbook per-element formulas.
+    """
 
     def __init__(
         self,
@@ -214,31 +254,53 @@ class Adam:
         eps: float = 1e-8,
     ) -> None:
         self.params = params
+        self.flat = _pack(params)
         self.lr = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [{k: np.zeros_like(v) for k, v in p.items()} for p in params]
-        self.v = [{k: np.zeros_like(v) for k, v in p.items()} for p in params]
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
     def step(self, grads: list[dict]) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            for name in p:
-                m[name] = b1 * m[name] + (1.0 - b1) * g[name]
-                v[name] = b2 * v[name] + (1.0 - b2) * g[name] ** 2
-                mhat = m[name] / c1
-                vhat = v[name] / c2
-                p[name] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        g = _concat(self.params, grads)
+        self.m = b1 * self.m + (1.0 - b1) * g
+        self.v = b2 * self.v + (1.0 - b2) * g**2
+        mhat = self.m / c1
+        vhat = self.v / c2
+        self.flat -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def _concat(params: list[dict], grads: list[dict]) -> np.ndarray:
+    """Gradients flattened in the buffer order of `params`."""
+    return np.concatenate([g[name].reshape(-1) for p, g in zip(params, grads) for name in p])
 
 
 def _make_optimizer(model: AutoencoderModel, config: TrainConfig):
-    params = [layer.params() for layer in model.layers()]
+    """Optimizer over the model's parameters, with every layer rebound to its buffer views."""
+    layers = model.layers()
+    params = [layer.params() for layer in layers]
     if config.optimizer == "sgd":
-        return Sgd(params, config.learning_rate)
-    return Adam(params, config.learning_rate, config.beta1, config.beta2, config.eps)
+        opt = Sgd(params, config.learning_rate)
+    else:
+        opt = Adam(params, config.learning_rate, config.beta1, config.beta2, config.eps)
+    for layer, p in zip(layers, params):
+        for name, view in p.items():
+            setattr(layer, name, view)
+    return opt
+
+
+def _first_non_finite(model: AutoencoderModel) -> str:
+    """`kind.param` of the first parameter tensor holding a non-finite value."""
+    return next(
+        f"{layer.kind}.{name}"
+        for layer in model.layers()
+        for name, p in layer.params().items()
+        if not np.all(np.isfinite(p))
+    )
 
 
 def train(
@@ -284,14 +346,12 @@ def train(
                 )
             total += loss * batch.shape[0]
             opt.step(grads)
-        for layer in model.layers():
-            for name, p in layer.params().items():
-                if not np.all(np.isfinite(p)):
-                    raise TrainingDivergedError(
-                        f"non-finite parameter {layer.kind}.{name} in epoch {epoch}; "
-                        f"last good epoch {epoch - 1}",
-                        last_good_epoch=epoch - 1,
-                    )
+        if not np.all(np.isfinite(opt.flat)):
+            raise TrainingDivergedError(
+                f"non-finite parameter {_first_non_finite(model)} in epoch {epoch}; "
+                f"last good epoch {epoch - 1}",
+                last_good_epoch=epoch - 1,
+            )
         epoch_losses.append(total / m)
         if config.loss_log_interval and (epoch + 1) % config.loss_log_interval == 0:
             logger.info("epoch %d/%d loss %.6g", epoch + 1, config.epochs, epoch_losses[-1])
@@ -343,21 +403,14 @@ def check_gradients(
             for idx in picked:
                 orig = flat[idx]
                 flat[idx] = orig + step
-                up = _full_loss(model, batch)
+                up = dataset_loss(model, batch)
                 flat[idx] = orig - step
-                down = _full_loss(model, batch)
+                down = dataset_loss(model, batch)
                 flat[idx] = orig
                 fd = (up - down) / (2.0 * step)
                 denom = max(abs(fd), abs(gflat[idx]), 1e-8)
                 worst = max(worst, abs(fd - gflat[idx]) / denom)
     return worst
-
-
-def _full_loss(model: AutoencoderModel, batch) -> float:
-    a, _ = _prep_batch(model, batch)
-    caches: list = []
-    _, out = _network_forward(model, a, caches)
-    return batch_loss(a, out)
 
 
 def write_train_report(report: TrainReport, path, include_wall_time: bool = False) -> None:

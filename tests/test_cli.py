@@ -132,6 +132,16 @@ def test_train_config_file_overrides_flags(tmp_path, gaussian_csv):
     assert len(json.loads(report_path.read_text())["epoch_losses"]) == 7
 
 
+def test_train_config_wrong_field_type_exit_2(tmp_path, gaussian_csv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"epochs": "ten"}')
+    code = run(
+        "train", "--data", gaussian_csv, "--arch", "2,1,2",
+        "--config", cfg, "-o", tmp_path / "m.json",
+    )
+    assert code == 2
+
+
 def test_train_conv_preset_on_idx_files(tmp_path):
     rng = Rng(11)
     images = (rng.uniforms(0.0, 1.0, (40, 8, 8)) * 255).astype(np.uint8)
@@ -194,6 +204,18 @@ def test_score_flags_adversary_against_baseline(tmp_path, gaussian_csv, pca_mode
     summary = json.loads(capsys.readouterr().out.strip())
     assert summary["flagged"] == 1
     assert summary["flagged_indices"] == [0]
+
+
+@pytest.mark.parametrize("row", ["0,high", "0"])
+def test_score_malformed_baseline_exit_2(tmp_path, gaussian_csv, pca_model_file, capsys, row):
+    baseline = tmp_path / "baseline.csv"
+    baseline.write_text(f"index,score\n0,0.5\n{row}\n")
+    code = run(
+        "score", "--model", pca_model_file, "--data", gaussian_csv,
+        "--baseline", baseline, "-o", tmp_path / "s.csv",
+    )
+    assert code == 2
+    assert f"{baseline}:3:" in capsys.readouterr().err
 
 
 def test_score_empty_dataset_exit_2(tmp_path, pca_model_file):

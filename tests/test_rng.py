@@ -122,6 +122,18 @@ def test_derive_seed_is_splitmix_stream():
         derive_seed(master, -1)
 
 
+CLOSED_FORM_STREAMS = (0, 1, 2, 999, 2**20)
+
+
+@pytest.mark.parametrize("master", [0, 987654321, 2**64 - 1, -1, 2**64 + 5])
+def test_derive_seed_closed_form_matches_iterated_splitmix(master):
+    # -1 and 2**64 + 5 lie outside [0, 2**64): both forms must reduce them
+    # the way splitmix64 masks its seed
+    outs = splitmix64(master, max(CLOSED_FORM_STREAMS) + 1)
+    for k in CLOSED_FORM_STREAMS:
+        assert derive_seed(master, k) == outs[k]
+
+
 def test_box_muller_exact_formula():
     # First normal must equal the hand-evaluated Box-Muller of the first
     # two xoshiro draws.

@@ -18,6 +18,7 @@ from aeaudit.models import (
 from aeaudit.rng import Rng
 from aeaudit.training import (
     Adam,
+    Sgd,
     TrainConfig,
     backward,
     batch_loss,
@@ -151,6 +152,44 @@ def test_adam_zero_gradient_is_exact_noop():
             assert np.array_equal(p[k], b[k])
 
 
+def _reference_step(kind, params, grads, state, lr, t, b1=0.9, b2=0.999, eps=1e-8):
+    """Per-tensor optimizer update, one tensor at a time."""
+    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+        for name in p:
+            if kind == "sgd":
+                p[name] = p[name] - lr * g[name]
+                continue
+            m[name] = b1 * m[name] + (1.0 - b1) * g[name]
+            v[name] = b2 * v[name] + (1.0 - b2) * g[name] ** 2
+            mhat = m[name] / (1.0 - b1**t)
+            vhat = v[name] / (1.0 - b2**t)
+            p[name] = p[name] - lr * mhat / (np.sqrt(vhat) + eps)
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_flat_optimizer_matches_per_tensor_reference(kind):
+    models = [
+        build_mlp_autoencoder([2, 5, 1, 5, 2], activation="relu", seed=3),
+        build_conv_autoencoder(image_hw=(8, 8), channels=(2, 3), latent_dim=2, seed=4),
+    ]
+    rng = Rng(12)
+    for model in models:
+        params = [l.params() for l in model.layers()]
+        ref = [{k: v.copy() for k, v in p.items()} for p in params]
+        state = {
+            "m": [{k: np.zeros_like(v) for k, v in p.items()} for p in params],
+            "v": [{k: np.zeros_like(v) for k, v in p.items()} for p in params],
+        }
+        opt = Adam(params, learning_rate=0.05) if kind == "adam" else Sgd(params, 0.05)
+        for t in range(1, 7):
+            grads = [{k: rng.normals(v.shape) for k, v in p.items()} for p in ref]
+            opt.step(grads)
+            _reference_step(kind, ref, grads, state, 0.05, t)
+            for p, r in zip(params, ref):
+                for k in p:
+                    assert p[k].tobytes() == r[k].tobytes()
+
+
 def test_train_linear_ae_on_diagonal_toy_reaches_pca_floor():
     ds = generate(SyntheticSpec(family="diagonal", samples_per_component=40, seed=2))
     model = build_mlp_autoencoder([2, 1, 2], activation="linear", seed=1)
@@ -201,7 +240,21 @@ def test_train_divergence_reports_last_good_epoch():
     cfg = TrainConfig(epochs=200, batch_size=20, learning_rate=1e6, optimizer="sgd", seed=0)
     with pytest.raises(TrainingDivergedError) as err:
         train(model, ds, cfg)
-    assert err.value.last_good_epoch >= -1
+    assert err.value.last_good_epoch == 1
+    assert "non-finite loss in epoch 2" in str(err.value)
+
+
+def test_train_divergence_names_non_finite_parameter():
+    # tiny inputs keep epoch 0's step finite; epoch 1's step overflows the
+    # first weight while its loss is still finite, so the parameter check fires
+    base = generate(SyntheticSpec(family="gaussian", samples_per_component=20, seed=9))
+    ds = Dataset(x=base.x * 1e-8, role="train")
+    model = build_mlp_autoencoder([2, 1, 2], activation="linear", seed=5)
+    cfg = TrainConfig(epochs=20, batch_size=40, learning_rate=1e87, optimizer="sgd", seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError) as err:
+        train(model, ds, cfg)
+    assert err.value.last_good_epoch == 0
+    assert "non-finite parameter dense.weight in epoch 1" in str(err.value)
 
 
 def test_train_rejects_test_role():
@@ -223,6 +276,10 @@ def test_train_config_validation_and_json():
     assert cfg.epochs == 3 and cfg.learning_rate == 0.5
     with pytest.raises(InputDomainError):
         TrainConfig.from_json_dict({"momentum": 0.9})
+    for bad in ({"epochs": "ten"}, {"epochs": 2.5}, {"seed": True}, {"shuffle": 1},
+                {"learning_rate": "0.1"}, {"checkpoint_dir": 3}):
+        with pytest.raises(InputDomainError):
+            TrainConfig.from_json_dict(bad)
 
 
 def test_checkpointing_writes_snapshots(tmp_path):
