@@ -23,7 +23,6 @@ from .datagen import Dataset, SyntheticSpec, generate, load_csv, load_mnist
 from .models import (
     AutoencoderModel,
     PcaModel,
-    ae_forward,
     build_conv_autoencoder,
     build_mlp_autoencoder,
     load_model,
@@ -47,7 +46,6 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "Verdict",
-    "ae_forward",
     "build_conv_autoencoder",
     "build_mlp_autoencoder",
     "construct_linear_ae_adversary",

@@ -29,8 +29,6 @@ from .models import (
     PcaModel,
     decode_batch,
     encode_batch,
-    pca_decode,
-    pca_encode,
     pca_fit,
 )
 from .rng import Rng, derive_seed
@@ -112,11 +110,11 @@ def construct_pca_adversary(
     if delta <= 0:
         raise InputDomainError(f"delta must be > 0, got {delta}")
     xm = numlin.as_matrix(x, "training data")
-    encodings = pca_encode(model, xm)
+    encodings = encode_batch(model, xm)
     center, radius, u = _latent_ray(encodings, direction)
     margin = max(1.0, 0.01 * radius)
     c = center + (radius + delta + margin) * u
-    a = pca_decode(model, c)
+    a = decode_batch(model, c)
     loss = float(sample_scores(model, a[None, :])[0])
     dist = numlin.pairwise_min_distance(xm, a)
     return AdversaryResult(

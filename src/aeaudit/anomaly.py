@@ -13,7 +13,6 @@ is the default and every table records which one produced it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from . import numlin
 from .datagen import Dataset
 from .errors import InputDomainError
-from .models import model_input_dim, reconstruct
+from .models import forward_batch
 
 CONVENTIONS = ("mean", "sum")
 
@@ -43,18 +42,6 @@ class ScoreTable:
     role: str
     convention: str
 
-    @property
-    def min_normal_score(self) -> float:
-        if self.role != "train":
-            raise InputDomainError("min_normal_score is defined for train-role tables")
-        return self.min_score
-
-    @property
-    def max_normal_score(self) -> float:
-        if self.role != "train":
-            raise InputDomainError("max_normal_score is defined for train-role tables")
-        return self.max_score
-
 
 @dataclass
 class Verdict:
@@ -72,11 +59,11 @@ def sample_scores(model, x: np.ndarray, convention: str = "mean") -> np.ndarray:
     if convention not in CONVENTIONS:
         raise InputDomainError(f"convention must be one of {CONVENTIONS}")
     xm = numlin.as_matrix(x, "samples")
-    if xm.shape[1] != model_input_dim(model):
+    if xm.shape[1] != model.input_dim:
         raise InputDomainError(
-            f"data has {xm.shape[1]} features, model expects {model_input_dim(model)}"
+            f"data has {xm.shape[1]} features, model expects {model.input_dim}"
         )
-    xhat = reconstruct(model, xm)
+    _, xhat = forward_batch(model, xm)
     sq = np.sum((xm - xhat) ** 2, axis=1)
     if convention == "mean":
         sq = sq / xm.shape[1]
@@ -142,9 +129,3 @@ def table_summary(table: ScoreTable) -> dict:
         "role": table.role,
         "convention": table.convention,
     }
-
-
-def write_score_summary(table: ScoreTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(table_summary(table), f, sort_keys=True, indent=1)
-        f.write("\n")

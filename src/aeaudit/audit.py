@@ -22,15 +22,7 @@ import numpy as np
 from . import numlin
 from .anomaly import sample_scores
 from .errors import InputDomainError, NumericalError
-from .models import (
-    AutoencoderModel,
-    PcaModel,
-    decode_batch,
-    encode_batch,
-    model_input_dim,
-    pca_decode,
-    pca_encode,
-)
+from .models import decode_batch, encode_batch
 
 SPACES = ("input2d", "latent2d")
 
@@ -133,42 +125,12 @@ def scan_input_space(
     threshold is 3x the RMS spread of the training points.
     """
     xm = numlin.as_matrix(x_train, "training data")
-    if model_input_dim(model) != 2 or xm.shape[1] != 2:
+    if model.input_dim != 2 or xm.shape[1] != 2:
         raise InputDomainError("input-space audits need a 2-D model and 2-D data")
-    if bounds is None:
-        bounds = inflate_bounds(xm, 4.0)
-    if far_threshold is None:
-        far_threshold = rms_far_threshold(xm)
-    xs = grid_axis(bounds[0], bounds[1], resolution[0])
-    ys = grid_axis(bounds[2], bounds[3], resolution[1])
-    nodes = _grid_nodes(xs, ys)
-    losses = sample_scores(model, nodes).reshape(ys.shape[0], xs.shape[0])
-    if not np.all(np.isfinite(losses)):
-        raise NumericalError("grid scan produced non-finite losses")
-    regions = extract_regions(losses, xs, ys, epsilon, xm, far_threshold)
-    return AuditGrid(
-        space="input2d",
-        bounds=bounds,
-        xs=xs,
-        ys=ys,
-        losses=losses,
-        epsilon=epsilon,
-        far_threshold=far_threshold,
-        regions=regions,
-        train_points=xm,
+    return _scan(
+        "input2d", xm, 4.0, lambda nodes: sample_scores(model, nodes),
+        bounds, resolution, epsilon, far_threshold,
     )
-
-
-def _decode(model, z: np.ndarray) -> np.ndarray:
-    if isinstance(model, PcaModel):
-        return pca_decode(model, z)
-    return decode_batch(model, z)
-
-
-def _encode(model, x: np.ndarray) -> np.ndarray:
-    if isinstance(model, PcaModel):
-        return pca_encode(model, x)
-    return encode_batch(model, x)
 
 
 def scan_latent_space(
@@ -188,39 +150,42 @@ def scan_latent_space(
     encodings' bounding box 2x.
     """
     xm = numlin.as_matrix(x_train, "training data")
-    if not isinstance(model, (PcaModel, AutoencoderModel)):
-        raise InputDomainError(f"unsupported model type {type(model)!r}")
     if model.latent_dim != 2:
         raise InputDomainError(
             f"latent-space audits need latent_dim == 2, got {model.latent_dim}"
         )
-    if xm.shape[1] != model_input_dim(model):
+    if xm.shape[1] != model.input_dim:
         raise InputDomainError(
-            f"data has {xm.shape[1]} features, model expects {model_input_dim(model)}"
+            f"data has {xm.shape[1]} features, model expects {model.input_dim}"
         )
-    encodings = _encode(model, xm)
+    return _scan(
+        "latent2d", encode_batch(model, xm), 2.0,
+        lambda nodes: sample_scores(model, decode_batch(model, nodes)),
+        bounds, resolution, epsilon, far_threshold,
+    )
+
+
+def _scan(space, points, inflate, node_losses, bounds, resolution, epsilon, far_threshold):
+    """Shared lattice scan: `node_losses` maps (k, 2) grid nodes to k losses."""
     if bounds is None:
-        bounds = inflate_bounds(encodings, 2.0)
+        bounds = inflate_bounds(points, inflate)
     if far_threshold is None:
-        far_threshold = rms_far_threshold(encodings)
+        far_threshold = rms_far_threshold(points)
     xs = grid_axis(bounds[0], bounds[1], resolution[0])
     ys = grid_axis(bounds[2], bounds[3], resolution[1])
-    nodes = _grid_nodes(xs, ys)
-    decoded = _decode(model, nodes)
-    losses = sample_scores(model, decoded).reshape(ys.shape[0], xs.shape[0])
+    losses = node_losses(_grid_nodes(xs, ys)).reshape(ys.shape[0], xs.shape[0])
     if not np.all(np.isfinite(losses)):
-        raise NumericalError("latent grid scan produced non-finite losses")
-    regions = extract_regions(losses, xs, ys, epsilon, encodings, far_threshold)
+        raise NumericalError(f"{space} grid scan produced non-finite losses")
     return AuditGrid(
-        space="latent2d",
+        space=space,
         bounds=bounds,
         xs=xs,
         ys=ys,
         losses=losses,
         epsilon=epsilon,
         far_threshold=far_threshold,
-        regions=regions,
-        train_points=encodings,
+        regions=extract_regions(losses, xs, ys, epsilon, points, far_threshold),
+        train_points=points,
     )
 
 
@@ -308,7 +273,7 @@ def representative_input(grid: AuditGrid, model, region: Region) -> np.ndarray:
     p = np.array(region.representative_point)
     if grid.space == "input2d":
         return p
-    return _decode(model, p)
+    return decode_batch(model, p)
 
 
 def has_out_of_bounds_region(grid: AuditGrid) -> bool:

@@ -53,7 +53,6 @@ from .models import (
     build_conv_autoencoder,
     build_mlp_autoencoder,
     load_model,
-    model_input_dim,
     save_model,
 )
 from .training import TrainConfig, train, write_train_report
@@ -260,9 +259,9 @@ def cmd_audit(args) -> int:
 
     space = args.space
     if space == "auto":
-        if model_input_dim(model) == 2:
+        if model.input_dim == 2:
             space = "input"
-        elif getattr(model, "latent_dim", 0) == 2:
+        elif model.latent_dim == 2:
             space = "latent"
         else:
             raise InputDomainError(
@@ -309,15 +308,13 @@ def cmd_attack(args) -> int:
     if args.method == "analytic":
         if isinstance(model, PcaModel):
             result = construct_pca_adversary(model, dataset.x, delta=args.delta)
-        elif isinstance(model, AutoencoderModel):
+        else:
             try:
                 result = construct_linear_ae_adversary(model, dataset.x, delta=args.delta)
             except InputDomainError as exc:
                 raise InputDomainError(
                     f"analytic attacks need a PCA model or an all-linear autoencoder: {exc}"
                 ) from None
-        else:
-            raise InputDomainError("unsupported model kind for analytic attack")
     elif args.method == "latent":
         if args.z is None:
             raise InputDomainError("--method latent needs --z")

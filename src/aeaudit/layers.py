@@ -2,10 +2,11 @@
 
 Conventions: samples are rows, dense weights have shape (fan_in, fan_out) so
 a layer computes x @ W + b. Image tensors are (batch, channels, height,
-width). Convolutions use im2col/col2im so the heavy lifting is matrix
-multiplication; the transposed convolution is implemented as the exact
-adjoint of a strided convolution, which is what makes the finite-difference
-gradient checks pass to 1e-6.
+width). Every layer exposes `in_shape` and `out_shape`: an int for a flat
+width, a (C, H, W) tuple for an image. Convolutions use im2col/col2im so the
+heavy lifting is matrix multiplication; the transposed convolution is
+implemented as the exact adjoint of a strided convolution, which is what
+makes the finite-difference gradient checks pass to 1e-6.
 """
 
 from __future__ import annotations
@@ -114,6 +115,15 @@ def col2im(
     return xp
 
 
+def run_layers(layers, x: np.ndarray, caches: list | None = None) -> np.ndarray:
+    """Chain forward passes; when given, `caches` receives one entry per layer."""
+    for layer in layers:
+        x, cache = layer.forward(x)
+        if caches is not None:
+            caches.append(cache)
+    return x
+
+
 class DenseLayer:
     kind = "dense"
 
@@ -127,10 +137,12 @@ class DenseLayer:
             )
         self.activation = _check_activation(activation)
 
-    def in_size(self) -> int:
+    @property
+    def in_shape(self) -> int:
         return self.weight.shape[0]
 
-    def out_size(self) -> int:
+    @property
+    def out_shape(self) -> int:
         return self.weight.shape[1]
 
     def forward(self, x: np.ndarray):
@@ -348,7 +360,7 @@ class FlattenLayer:
 
     def __init__(self, in_shape: tuple[int, int, int]) -> None:
         self.in_shape = tuple(int(v) for v in in_shape)
-        self.out_size = int(np.prod(self.in_shape))
+        self.out_shape = int(np.prod(self.in_shape))
 
     def forward(self, x: np.ndarray):
         if x.shape[1:] != self.in_shape:
@@ -375,11 +387,11 @@ class ReshapeLayer:
 
     def __init__(self, out_shape: tuple[int, int, int]) -> None:
         self.out_shape = tuple(int(v) for v in out_shape)
-        self.in_size = int(np.prod(self.out_shape))
+        self.in_shape = int(np.prod(self.out_shape))
 
     def forward(self, x: np.ndarray):
-        if x.shape[1] != self.in_size:
-            raise InputDomainError(f"reshape input width {x.shape[1]} != {self.in_size}")
+        if x.shape[1] != self.in_shape:
+            raise InputDomainError(f"reshape input width {x.shape[1]} != {self.in_shape}")
         return x.reshape(x.shape[0], *self.out_shape), None
 
     def backward(self, dy: np.ndarray, cache):
@@ -410,27 +422,3 @@ def layer_from_config(cfg: dict):
     if kind not in LAYER_KINDS:
         raise InputDomainError(f"unknown layer kind {kind!r}")
     return LAYER_KINDS[kind].from_config(cfg)
-
-
-def output_of(layer, in_desc):
-    """Chain a shape descriptor through a layer.
-
-    Descriptors are either an int (flat width) or a (C, H, W) tuple.
-    """
-    if isinstance(layer, DenseLayer):
-        if in_desc != layer.in_size():
-            raise InputDomainError(f"dense expects width {layer.in_size()}, got {in_desc}")
-        return layer.out_size()
-    if isinstance(layer, Conv2dLayer) or isinstance(layer, Upconv2dLayer):
-        if tuple(in_desc) != layer.in_shape:
-            raise InputDomainError(f"conv expects shape {layer.in_shape}, got {in_desc}")
-        return layer.out_shape
-    if isinstance(layer, FlattenLayer):
-        if tuple(in_desc) != layer.in_shape:
-            raise InputDomainError(f"flatten expects shape {layer.in_shape}, got {in_desc}")
-        return layer.out_size
-    if isinstance(layer, ReshapeLayer):
-        if in_desc != layer.in_size:
-            raise InputDomainError(f"reshape expects width {layer.in_size}, got {in_desc}")
-        return layer.out_shape
-    raise InputDomainError(f"unknown layer type {type(layer)!r}")

@@ -11,7 +11,6 @@ save/load cycle reproduces bit-identical forward passes.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ from .layers import (
     ReshapeLayer,
     Upconv2dLayer,
     layer_from_config,
-    output_of,
+    run_layers,
 )
 from .rng import Rng
 
@@ -69,6 +68,14 @@ class PcaModel:
     def latent_dim(self) -> int:
         return self.basis.shape[1]
 
+    def encode(self, a: np.ndarray) -> np.ndarray:
+        """Project rows onto the principal subspace: (x - mean) @ basis."""
+        return (a - self.mean) @ self.basis
+
+    def decode(self, y: np.ndarray) -> np.ndarray:
+        """Map latent rows back: y @ basis.T + mean."""
+        return y @ self.basis.T + self.mean
+
 
 def pca_fit(x, d: int) -> PcaModel:
     """Fit PCA: center the data, keep the top d right-singular vectors."""
@@ -81,7 +88,8 @@ def pca_fit(x, d: int) -> PcaModel:
     return PcaModel(mean=mean, basis=res.v[:, :d].copy(), singular_values=res.sigma)
 
 
-def _rows(x, n: int, name: str) -> tuple[np.ndarray, bool]:
+def as_rows(x, n: int, name: str) -> tuple[np.ndarray, bool]:
+    """2-D float rows of width n, and whether x was a single vector."""
     a = np.asarray(x, dtype=np.float64)
     single = a.ndim == 1
     if single:
@@ -89,24 +97,6 @@ def _rows(x, n: int, name: str) -> tuple[np.ndarray, bool]:
     if a.ndim != 2 or a.shape[1] != n:
         raise InputDomainError(f"{name} must have {n} columns, got shape {a.shape}")
     return a, single
-
-
-def pca_encode(model: PcaModel, x) -> np.ndarray:
-    """Project rows onto the principal subspace: (x - mean) @ basis."""
-    a, single = _rows(x, model.input_dim, "input")
-    y = (a - model.mean) @ model.basis
-    return y[0] if single else y
-
-
-def pca_decode(model: PcaModel, y) -> np.ndarray:
-    """Map latent rows back: y @ basis.T + mean."""
-    a, single = _rows(y, model.latent_dim, "latent")
-    x = a @ model.basis.T + model.mean
-    return x[0] if single else x
-
-
-def pca_reconstruct(model: PcaModel, x) -> np.ndarray:
-    return pca_decode(model, pca_encode(model, x))
 
 
 @dataclass
@@ -147,20 +137,17 @@ class AutoencoderModel:
 
     def __post_init__(self) -> None:
         self.input_shape = tuple(int(v) for v in self.input_shape)
-        desc = self.input_shape if len(self.input_shape) == 3 else self.input_shape[0]
-        for layer in self.encoder:
-            desc = output_of(layer, desc)
-        if desc != self.latent_dim:
+        if len(self.input_shape) not in (1, 3):
+            raise InputDomainError(f"input_shape must be (n,) or (C, H, W), not {self.input_shape}")
+        shape = self.input_shape if len(self.input_shape) == 3 else self.input_shape[0]
+        latent = _chain_shapes(self.encoder, shape)
+        if latent != self.latent_dim:
             raise InputDomainError(
-                f"encoder output {desc} does not match latent_dim {self.latent_dim}"
+                f"encoder output {latent} does not match latent_dim {self.latent_dim}"
             )
-        for layer in self.decoder:
-            desc = output_of(layer, desc)
-        expect = self.input_shape if len(self.input_shape) == 3 else self.input_shape[0]
-        if desc != expect:
-            raise InputDomainError(
-                f"decoder output {desc} does not reproduce input shape {expect}"
-            )
+        out = _chain_shapes(self.decoder, latent)
+        if out != shape:
+            raise InputDomainError(f"decoder output {out} does not reproduce input shape {shape}")
         for layer in self.layers():
             for name, p in layer.params().items():
                 numlin.require_finite(p, f"{layer.kind} {name}")
@@ -172,102 +159,60 @@ class AutoencoderModel:
     def layers(self):
         return [*self.encoder, *self.decoder]
 
-    def is_image_model(self) -> bool:
-        return len(self.input_shape) == 3
+    def encode(self, a: np.ndarray) -> np.ndarray:
+        """Rows through the standardization (if any) and the encoder."""
+        if self.preprocessing is not None:
+            a = self.preprocessing.apply(a)
+        return run_layers(self.encoder, a.reshape(a.shape[0], *self.input_shape))
+
+    def decode(self, z: np.ndarray) -> np.ndarray:
+        """Latent rows through the decoder, flattened, de-standardized if needed."""
+        out = run_layers(self.decoder, z).reshape(z.shape[0], -1)
+        if self.preprocessing is not None:
+            out = self.preprocessing.invert(out)
+        return out
 
 
-def _run_layers(layers, x, caches=None):
-    out = x
+def _chain_shapes(layers, shape):
     for layer in layers:
-        out, cache = layer.forward(out)
-        if caches is not None:
-            caches.append(cache)
-    return out
+        if layer.in_shape != shape:
+            raise InputDomainError(f"{layer.kind} expects input {layer.in_shape}, got {shape}")
+        shape = layer.out_shape
+    return shape
 
 
-def forward_batch(model: AutoencoderModel, x, caches=None) -> tuple[np.ndarray, np.ndarray]:
-    """Run flat rows through the full model.
-
-    Returns (latent, reconstruction), both 2-D with one row per input row.
-    When a cache list is supplied it receives one entry per layer for the
-    backward pass; the pre/post standardization tensors are not cached (the
-    training loop works in the network's own space).
-    """
-    a, _ = _rows(x, model.input_dim, "input")
-    if model.preprocessing is not None:
-        a = model.preprocessing.apply(a)
-    if model.is_image_model():
-        a = a.reshape(a.shape[0], *model.input_shape)
-    z = _run_layers(model.encoder, a, caches)
-    out = _run_layers(model.decoder, z, caches)
-    out = out.reshape(out.shape[0], -1)
-    if model.preprocessing is not None:
-        out = model.preprocessing.invert(out)
-    return z, out
+# --- evaluation: the same entry points for PCA and autoencoders -----------
 
 
-def ae_forward(model: AutoencoderModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """Single-sample forward pass: (latent, reconstruction) as vectors."""
-    a, single = _rows(x, model.input_dim, "input")
-    if not single:
-        raise InputDomainError("ae_forward takes a single sample; use forward_batch")
-    z, out = forward_batch(model, a)
-    return z[0], out[0]
-
-
-def decode_batch(model: AutoencoderModel, z) -> np.ndarray:
-    """Run latent rows through the decoder only; rows in input space."""
-    a, single = _rows(z, model.latent_dim, "latent")
-    out = _run_layers(model.decoder, a)
-    out = out.reshape(out.shape[0], -1)
-    if model.preprocessing is not None:
-        out = model.preprocessing.invert(out)
-    return out[0] if single else out
-
-
-def encode_batch(model: AutoencoderModel, x) -> np.ndarray:
-    """Run flat rows through the encoder only."""
-    a, single = _rows(x, model.input_dim, "input")
-    if model.preprocessing is not None:
-        a = model.preprocessing.apply(a)
-    if model.is_image_model():
-        a = a.reshape(a.shape[0], *model.input_shape)
-    z = _run_layers(model.encoder, a)
+def encode_batch(model, x) -> np.ndarray:
+    """Latent rows of input rows; a single vector gives a single vector."""
+    a, single = as_rows(x, model.input_dim, "input")
+    z = model.encode(a)
     return z[0] if single else z
 
 
-def reconstruct(model, x) -> np.ndarray:
-    """Reconstruction for either model kind; rows in, rows out."""
-    if isinstance(model, PcaModel):
-        return pca_reconstruct(model, x)
-    if isinstance(model, AutoencoderModel):
-        return forward_batch(model, x)[1] if np.asarray(x).ndim == 2 else ae_forward(model, x)[1]
-    raise InputDomainError(f"unsupported model type {type(model)!r}")
+def decode_batch(model, z) -> np.ndarray:
+    """Input-space rows of latent rows; a single vector gives a single vector."""
+    a, single = as_rows(z, model.latent_dim, "latent")
+    out = model.decode(a)
+    return out[0] if single else out
 
 
-def model_input_dim(model) -> int:
-    if isinstance(model, (PcaModel, AutoencoderModel)):
-        return model.input_dim
-    raise InputDomainError(f"unsupported model type {type(model)!r}")
-
-
-def clone_model(model: AutoencoderModel) -> AutoencoderModel:
-    return copy.deepcopy(model)
+def forward_batch(model, x) -> tuple[np.ndarray, np.ndarray]:
+    """(latent, reconstruction) of input rows, or of a single vector."""
+    a, single = as_rows(x, model.input_dim, "input")
+    z = model.encode(a)
+    out = model.decode(z)
+    return (z[0], out[0]) if single else (z, out)
 
 
 # --- construction -------------------------------------------------------
 
 
-def _init_dense(rng: Rng, fan_in: int, fan_out: int, activation: str) -> np.ndarray:
+def _init_weight(
+    rng: Rng, shape: tuple[int, ...], fan_in: int, fan_out: int, activation: str
+) -> np.ndarray:
     # He-uniform for relu, Glorot-uniform otherwise
-    if activation == "relu":
-        limit = np.sqrt(6.0 / fan_in)
-    else:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniforms(-limit, limit, (fan_in, fan_out))
-
-
-def _init_conv(rng: Rng, shape: tuple[int, ...], fan_in: int, fan_out: int, activation: str):
     if activation == "relu":
         limit = np.sqrt(6.0 / fan_in)
     else:
@@ -305,9 +250,9 @@ def build_mlp_autoencoder(
     layers = []
     for i in range(len(layer_sizes) - 1):
         act = activation if i < len(layer_sizes) - 2 else "linear"
-        w = _init_dense(rng, layer_sizes[i], layer_sizes[i + 1], act)
-        b = np.zeros(layer_sizes[i + 1])
-        layers.append(DenseLayer(w, b, act))
+        fan_in, fan_out = layer_sizes[i], layer_sizes[i + 1]
+        w = _init_weight(rng, (fan_in, fan_out), fan_in, fan_out, act)
+        layers.append(DenseLayer(w, np.zeros(fan_out), act))
     return AutoencoderModel(
         encoder=layers[:latent_index],
         decoder=layers[latent_index:],
@@ -339,14 +284,16 @@ def build_conv_autoencoder(
     k = 3
 
     def conv(ci, co, act, in_shape):
-        fan_in, fan_out = ci * k * k, co * k * k
-        weight = _init_conv(rng, (co, ci, k, k), fan_in, fan_out, act)
+        weight = _init_weight(rng, (co, ci, k, k), ci * k * k, co * k * k, act)
         return Conv2dLayer(weight, np.zeros(co), 2, 1, act, in_shape)
 
     def upconv(ci, co, act, in_shape):
-        fan_in, fan_out = ci * k * k, co * k * k
-        weight = _init_conv(rng, (ci, co, k, k), fan_in, fan_out, act)
+        weight = _init_weight(rng, (ci, co, k, k), ci * k * k, co * k * k, act)
         return Upconv2dLayer(weight, np.zeros(co), 2, 1, 1, act, in_shape)
+
+    def dense(fan_in, fan_out):
+        weight = _init_weight(rng, (fan_in, fan_out), fan_in, fan_out, "linear")
+        return DenseLayer(weight, np.zeros(fan_out), "linear")
 
     h2, w2 = h // 2, w // 2
     h4, w4 = h2 // 2, w2 // 2
@@ -355,10 +302,10 @@ def build_conv_autoencoder(
         conv(1, c1, "relu", (1, h, w)),
         conv(c1, c2, "relu", (c1, h2, w2)),
         FlattenLayer((c2, h4, w4)),
-        DenseLayer(_init_dense(rng, flat, latent_dim, "linear"), np.zeros(latent_dim), "linear"),
+        dense(flat, latent_dim),
     ]
     decoder = [
-        DenseLayer(_init_dense(rng, latent_dim, flat, "linear"), np.zeros(flat), "linear"),
+        dense(latent_dim, flat),
         ReshapeLayer((c2, h4, w4)),
         upconv(c2, c1, "relu", (c2, h4, w4)),
         upconv(c1, 1, "sigmoid", (c1, h2, w2)),
@@ -377,19 +324,16 @@ def build_conv_autoencoder(
 
 def save_model(model, path) -> None:
     """Write a model as a self-describing JSON document."""
+    doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION}
     if isinstance(model, PcaModel):
-        doc = {
-            "format": MODEL_FORMAT,
-            "version": MODEL_VERSION,
+        doc |= {
             "kind": "pca",
             "mean": model.mean.tolist(),
             "basis": model.basis.tolist(),
             "singular_values": model.singular_values.tolist(),
         }
     elif isinstance(model, AutoencoderModel):
-        doc = {
-            "format": MODEL_FORMAT,
-            "version": MODEL_VERSION,
+        doc |= {
             "kind": "autoencoder",
             "input_shape": list(model.input_shape),
             "latent_dim": model.latent_dim,

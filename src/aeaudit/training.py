@@ -8,8 +8,10 @@ the raw input space.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
+import math
 import numbers
 import time
 from dataclasses import dataclass, fields
@@ -19,7 +21,8 @@ import numpy as np
 from . import numlin
 from .datagen import Dataset
 from .errors import InputDomainError, TrainingDivergedError
-from .models import AutoencoderModel, clone_model, save_model
+from .layers import run_layers
+from .models import AutoencoderModel, as_rows, save_model
 from .rng import Rng, derive_seed
 
 logger = logging.getLogger(__name__)
@@ -61,14 +64,19 @@ class TrainConfig:
                 isinstance(value, bool) and f.type != "bool"
             ):
                 raise InputDomainError(f"{f.name} must be {f.type}, got {value!r}")
-        if self.learning_rate <= 0:
-            raise InputDomainError("learning_rate must be > 0")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise InputDomainError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise InputDomainError("batch_size must be >= 1")
         if self.epochs < 0:
             raise InputDomainError("epochs must be >= 0")
         if self.optimizer not in OPTIMIZERS:
             raise InputDomainError(f"optimizer must be one of {OPTIMIZERS}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise InputDomainError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+        if not self.eps > 0:
+            raise InputDomainError(f"eps must be > 0, got {self.eps!r}")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrainConfig":
@@ -127,48 +135,33 @@ def backward(model: AutoencoderModel, batch: np.ndarray) -> tuple[float, list[di
     present, is applied to the batch before the network, so gradients are
     of the network-space loss.
     """
-    a, _ = _prep_batch(model, batch)
     caches: list = []
-    _, out = _network_forward(model, a, caches)
+    a, out = _network_forward(model, batch, caches)
     b, n = a.shape
     dy = (2.0 / (b * n)) * (out - a)
     loss = float(np.sum((a - out) ** 2)) / (b * n)
-    grads = _backprop(model, dy, caches)
+    _, grads = _backprop(model, dy, caches)
     return loss, grads
 
 
-def _prep_batch(model: AutoencoderModel, batch) -> tuple[np.ndarray, int]:
-    a = np.asarray(batch, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[None, :]
-    if a.ndim != 2 or a.shape[1] != model.input_dim:
-        raise InputDomainError(
-            f"batch must be (m, {model.input_dim}), got {a.shape}"
-        )
+def _network_forward(model: AutoencoderModel, batch, caches: list | None = None):
+    """Forward in network space: (standardized rows, flat network output)."""
+    a, _ = as_rows(batch, model.input_dim, "batch")
     if model.preprocessing is not None:
         a = model.preprocessing.apply(a)
-    return a, a.shape[0]
+    out = run_layers(model.layers(), a.reshape(a.shape[0], *model.input_shape), caches)
+    return a, out.reshape(a.shape[0], -1)
 
 
-def _network_forward(model: AutoencoderModel, a: np.ndarray, caches: list):
-    """Forward in network space: flat standardized rows -> flat rows."""
-    x = a.reshape(a.shape[0], *model.input_shape) if model.is_image_model() else a
-    out = x
-    for layer in model.layers():
-        out, cache = layer.forward(out)
-        caches.append(cache)
-    return x, out.reshape(a.shape[0], -1)
-
-
-def _backprop(model: AutoencoderModel, dy_flat: np.ndarray, caches: list) -> list[dict]:
+def _backprop(model: AutoencoderModel, dy: np.ndarray, caches: list):
+    """Flat output gradient -> (flat input gradient, per-layer parameter gradients)."""
     layers = model.layers()
     grads: list[dict] = [None] * len(layers)
-    # decoder output was flattened for the loss; undo for image models
-    last_out_shape = caches[-1][2].shape if caches[-1] is not None else None
-    dy = dy_flat if last_out_shape is None else dy_flat.reshape(last_out_shape)
+    # the network output was flattened for the loss; undo that first
+    dx = dy.reshape(dy.shape[0], *model.input_shape)
     for i in range(len(layers) - 1, -1, -1):
-        dy, grads[i] = layers[i].backward(dy, caches[i])
-    return grads
+        dx, grads[i] = layers[i].backward(dx, caches[i])
+    return dx.reshape(dy.shape[0], -1), grads
 
 
 def input_gradient(model: AutoencoderModel, a: np.ndarray) -> tuple[float, np.ndarray]:
@@ -180,31 +173,22 @@ def input_gradient(model: AutoencoderModel, a: np.ndarray) -> tuple[float, np.nd
     v = numlin.as_vector(np.asarray(a, dtype=np.float64), "input")
     if v.shape[0] != model.input_dim:
         raise InputDomainError(f"input must have length {model.input_dim}")
-    row = v[None, :]
     caches: list = []
     std = model.preprocessing
-    net_in = std.apply(row) if std is not None else row
-    _, net_out = _network_forward(model, net_in, caches)
+    _, net_out = _network_forward(model, v[None, :], caches)
     out = std.invert(net_out) if std is not None else net_out
 
     n = v.shape[0]
-    r = (row - out)[0]
+    r = v - out[0]
     loss = float(r @ r) / n
     # dL/da = (2/n) (r - J^T r); J^T r via one backward pass
     upstream = (2.0 / n) * r[None, :]
     if std is not None:
         upstream = upstream * std.std  # through the de-standardization
-    layers = model.layers()
-    dy = upstream
-    last_out_shape = caches[-1][2].shape if caches[-1] is not None else None
-    if last_out_shape is not None:
-        dy = dy.reshape(last_out_shape)
-    for i in range(len(layers) - 1, -1, -1):
-        dy, _ = layers[i].backward(dy, caches[i])
-    dy = dy.reshape(1, -1)
+    dx, _ = _backprop(model, upstream, caches)
     if std is not None:
-        dy = dy / std.std  # through the standardization
-    grad = (2.0 / n) * r - dy[0]
+        dx = dx / std.std  # through the standardization
+    grad = (2.0 / n) * r - dx[0]
     return loss, grad
 
 
@@ -316,7 +300,7 @@ def train(
     """
     if dataset.role != "train":
         raise InputDomainError(f"dataset role must be 'train', got {dataset.role!r}")
-    model = clone_model(model)
+    model = copy.deepcopy(model)
     x = dataset.x
     if x.shape[1] != model.input_dim:
         raise InputDomainError(
@@ -337,7 +321,9 @@ def train(
             batch = xe[lo : lo + config.batch_size]
             with np.errstate(over="ignore", invalid="ignore"):
                 # overflow here just means divergence, caught right below
+                # or by the parameter check at the end of the epoch
                 loss, grads = backward(model, batch)
+                opt.step(grads)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss in epoch {epoch}; last good epoch "
@@ -345,7 +331,6 @@ def train(
                     last_good_epoch=epoch - 1,
                 )
             total += loss * batch.shape[0]
-            opt.step(grads)
         if not np.all(np.isfinite(opt.flat)):
             raise TrainingDivergedError(
                 f"non-finite parameter {_first_non_finite(model)} in epoch {epoch}; "
@@ -371,9 +356,7 @@ def train(
 
 def dataset_loss(model: AutoencoderModel, x: np.ndarray) -> float:
     """Mean per-sample loss over rows, in the network's training space."""
-    a, _ = _prep_batch(model, x)
-    caches: list = []
-    _, out = _network_forward(model, a, caches)
+    a, out = _network_forward(model, x)
     return batch_loss(a, out)
 
 

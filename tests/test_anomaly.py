@@ -12,7 +12,7 @@ from aeaudit.anomaly import (
 )
 from aeaudit.datagen import Dataset, SyntheticSpec, generate
 from aeaudit.errors import InputDomainError
-from aeaudit.models import build_mlp_autoencoder, pca_decode, pca_fit
+from aeaudit.models import build_mlp_autoencoder, decode_batch, forward_batch, pca_fit
 from aeaudit.rng import Rng
 from aeaudit.training import reconstruction_loss
 
@@ -30,7 +30,7 @@ def test_in_plane_point_scores_zero_regardless_of_norm():
     x = rng.normals((30, 5))
     model = pca_fit(x, d=2)
     for c in ([1.0, -1.0], [1e3, 2e3], [-5e4, 1e4]):
-        a = pca_decode(model, np.array(c))
+        a = decode_batch(model, np.array(c))
         assert sample_scores(model, a[None, :])[0] < 1e-10
 
 
@@ -39,11 +39,9 @@ def test_scores_match_per_row_loss_oracle():
     x = rng.normals((15, 3))
     model = pca_fit(x, d=1)
     table = score(model, Dataset(x=x))
-    from aeaudit.models import pca_reconstruct
-
     by_index = {e.index: e.score for e in table.entries}
     for i, row in enumerate(x):
-        expect = reconstruction_loss(row, pca_reconstruct(model, row))
+        expect = reconstruction_loss(row, forward_batch(model, row)[1])
         assert by_index[i] == pytest.approx(expect, rel=1e-12)
 
 
@@ -65,7 +63,7 @@ def test_scores_nonnegative_and_zero_only_on_exact_reconstruction():
     s = sample_scores(model, x)
     assert np.all(s >= 0.0)
     assert np.all(s > 0.0)  # generic position: no row sits in the subspace
-    a = pca_decode(model, np.array([0.5, 0.5]))
+    a = decode_batch(model, np.array([0.5, 0.5]))
     assert sample_scores(model, a[None, :])[0] < 1e-25
 
 
@@ -98,7 +96,7 @@ def test_is_undetected_pca_adversary_and_margin():
     model = pca_fit(x, d=2)
     train_table = score(model, Dataset(x=x))
     assert train_table.min_score > 0.0
-    a = pca_decode(model, np.array([30.0, -40.0]))
+    a = decode_batch(model, np.array([30.0, -40.0]))
     verdict = is_undetected(a, model, train_table)
     assert verdict.undetected
     assert verdict.margin > 0.0
@@ -134,7 +132,7 @@ def test_verdict_monotonicity():
     x = rng.normals((30, 5))
     model = pca_fit(x, d=2)
     table = score(model, Dataset(x=x))
-    a_quiet = pca_decode(model, np.array([100.0, 100.0]))  # near-zero score
+    a_quiet = decode_batch(model, np.array([100.0, 100.0]))  # near-zero score
     a_loud = x[0] + 5.0  # visible residual
     v_quiet = is_undetected(a_quiet, model, table)
     v_loud = is_undetected(a_loud, model, table)

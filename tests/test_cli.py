@@ -142,6 +142,19 @@ def test_train_config_wrong_field_type_exit_2(tmp_path, gaussian_csv):
     assert code == 2
 
 
+def test_train_config_beta1_of_one_exit_2_naming_beta1(tmp_path, gaussian_csv, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"beta1": 1.0}')
+    code = run(
+        "train", "--data", gaussian_csv, "--arch", "2,1,2", "--epochs", 2,
+        "--config", cfg, "-o", tmp_path / "m.json",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "beta1" in err and "non-finite" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_train_conv_preset_on_idx_files(tmp_path):
     rng = Rng(11)
     images = (rng.uniforms(0.0, 1.0, (40, 8, 8)) * 255).astype(np.uint8)
@@ -188,10 +201,10 @@ def test_score_flags_adversary_against_baseline(tmp_path, gaussian_csv, pca_mode
     capsys.readouterr()
 
     # craft an adversary row by decoding a far latent point
-    from aeaudit.models import pca_decode
+    from aeaudit.models import decode_batch
 
     model = load_model(pca_model_file)
-    a = pca_decode(model, np.array([50.0]))
+    a = decode_batch(model, np.array([50.0]))
     adv_csv = tmp_path / "adv.csv"
     adv_csv.write_text(",".join(repr(float(v)) for v in a) + "\n")
 

@@ -9,17 +9,13 @@ from aeaudit.layers import DenseLayer
 from aeaudit.models import (
     AutoencoderModel,
     Preprocessing,
-    ae_forward,
     build_conv_autoencoder,
     build_mlp_autoencoder,
     decode_batch,
     encode_batch,
     forward_batch,
     load_model,
-    pca_decode,
-    pca_encode,
     pca_fit,
-    pca_reconstruct,
     save_model,
 )
 from aeaudit.rng import Rng
@@ -47,7 +43,7 @@ def test_pca_reconstruction_error_equals_tail_energy():
     rng = Rng(42)
     x = rng.normals((50, 4)) * np.array([3.0, 2.0, 1.0, 0.25])
     model = pca_fit(x, d=2)
-    xhat = pca_reconstruct(model, x)
+    xhat = forward_batch(model, x)[1]
     err = float(np.sum((x - xhat) ** 2)) / (50 * 4)
     tail = float(np.sum(model.singular_values[2:] ** 2)) / (50 * 4)
     assert err == pytest.approx(tail, rel=1e-10)
@@ -65,15 +61,15 @@ def test_pca_encode_of_mean_is_zero():
     rng = Rng(9)
     x = rng.normals((20, 4))
     model = pca_fit(x, d=2)
-    assert np.allclose(pca_encode(model, model.mean), np.zeros(2), atol=1e-12)
+    assert np.allclose(encode_batch(model, model.mean), np.zeros(2), atol=1e-12)
 
 
 def test_pca_in_plane_point_reconstructs_exactly():
     rng = Rng(10)
     x = rng.normals((30, 5))
     model = pca_fit(x, d=2)
-    a = pca_decode(model, np.array([7.0, -3.0]))
-    assert np.max(np.abs(pca_reconstruct(model, a) - a)) < 1e-10
+    a = decode_batch(model, np.array([7.0, -3.0]))
+    assert np.max(np.abs(forward_batch(model, a)[1] - a)) < 1e-10
 
 
 def test_pca_residual_orthogonal_to_basis():
@@ -81,7 +77,7 @@ def test_pca_residual_orthogonal_to_basis():
     x = rng.normals((30, 5))
     model = pca_fit(x, d=2)
     v = rng.normals((5,))
-    resid = v - pca_reconstruct(model, v)
+    resid = v - forward_batch(model, v)[1]
     assert np.max(np.abs(resid @ model.basis)) < 1e-8
 
 
@@ -89,8 +85,8 @@ def test_pca_projector_idempotent_on_batch():
     rng = Rng(12)
     x = rng.normals((40, 6))
     model = pca_fit(x, d=3)
-    once = pca_reconstruct(model, x)
-    twice = pca_reconstruct(model, once)
+    once = forward_batch(model, x)[1]
+    twice = forward_batch(model, once)[1]
     assert np.max(np.abs(twice - once)) < 1e-10
 
 
@@ -101,7 +97,7 @@ def test_zero_weight_linear_ae_outputs_zero():
     enc = DenseLayer(np.zeros((2, 1)), np.zeros(1), "linear")
     dec = DenseLayer(np.zeros((1, 2)), np.zeros(2), "linear")
     model = AutoencoderModel([enc], [dec], (2,), 1)
-    _, rec = ae_forward(model, np.array([3.0, -4.0]))
+    _, rec = forward_batch(model, np.array([3.0, -4.0]))
     assert np.array_equal(rec, np.zeros(2))
 
 
@@ -110,19 +106,19 @@ def test_hand_built_projector_ae():
     enc = DenseLayer(w, np.zeros(1), "linear")
     dec = DenseLayer(w.T, np.zeros(2), "linear")
     model = AutoencoderModel([enc], [dec], (2,), 1)
-    _, rec = ae_forward(model, np.array([1.0, 1.0]))
+    _, rec = forward_batch(model, np.array([1.0, 1.0]))
     assert np.allclose(rec, [1.0, 1.0], atol=1e-15)
 
 
 def test_mlp_builder_shapes_and_latent():
     model = build_mlp_autoencoder([2, 5, 1, 5, 2], activation="relu", seed=0)
     assert model.latent_dim == 1
-    assert [l.out_size() for l in model.encoder] == [5, 1]
-    assert [l.out_size() for l in model.decoder] == [5, 2]
+    assert [l.out_shape for l in model.encoder] == [5, 1]
+    assert [l.out_shape for l in model.decoder] == [5, 2]
     # hidden layers relu, final linear
     acts = [l.activation for l in model.encoder + model.decoder]
     assert acts == ["relu", "relu", "relu", "linear"]
-    z, rec = ae_forward(model, np.array([0.5, -0.5]))
+    z, rec = forward_batch(model, np.array([0.5, -0.5]))
     assert z.shape == (1,) and rec.shape == (2,)
 
 
@@ -169,12 +165,31 @@ def test_conv_sigmoid_output_range():
     assert np.all(dec >= 0.0) and np.all(dec <= 1.0)
 
 
-def test_encode_decode_batch_match_forward():
-    model = build_mlp_autoencoder([3, 4, 2, 4, 3], seed=8)
-    x = Rng(1).normals((5, 3))
+def _interface_model(kind):
+    rng = Rng(1)
+    if kind == "pca":
+        return pca_fit(rng.normals((20, 6)) * np.arange(1.0, 7.0), d=2), rng.normals((5, 6))
+    if kind == "standardized-mlp":
+        pre = Preprocessing(mean=np.array([1.0, -2.0, 0.5]), std=np.array([2.0, 0.5, 3.0]))
+        model = build_mlp_autoencoder([3, 4, 2, 4, 3], "sigmoid", seed=8, preprocessing=pre)
+        return model, rng.normals((5, 3))
+    model = build_conv_autoencoder(image_hw=(8, 8), channels=(3, 4), latent_dim=2, seed=5)
+    return model, rng.uniforms(0.0, 1.0, (5, 64))
+
+
+@pytest.mark.parametrize("kind", ["pca", "standardized-mlp", "conv-8x8"])
+def test_encode_decode_batch_match_forward(kind):
+    model, x = _interface_model(kind)
     z, rec = forward_batch(model, x)
-    assert np.array_equal(encode_batch(model, x), z)
-    assert np.array_equal(decode_batch(model, z), rec)
+    assert encode_batch(model, x).tobytes() == z.tobytes()
+    assert decode_batch(model, encode_batch(model, x)).tobytes() == rec.tobytes()
+    assert z.shape == (5, model.latent_dim) and rec.shape == x.shape
+    # a single vector in gives single vectors out, equal to its row of the batch
+    z1, rec1 = forward_batch(model, x[2])
+    assert z1.shape == (model.latent_dim,) and rec1.shape == (model.input_dim,)
+    assert encode_batch(model, x[2]).shape == (model.latent_dim,)
+    assert decode_batch(model, z[2]).shape == (model.input_dim,)
+    assert np.allclose(rec1, rec[2], rtol=1e-12, atol=1e-12)
 
 
 def test_shape_chain_validation_rejects_mismatch():
@@ -194,7 +209,7 @@ def test_preprocessing_round_trip_in_forward():
     dec = DenseLayer(np.zeros((1, 2)), np.zeros(2), "linear")
     model = AutoencoderModel([enc], [dec], (2,), 1, preprocessing=pre)
     # network outputs 0 in standardized space -> reconstruction is the mean
-    _, rec = ae_forward(model, np.array([0.0, 0.0]))
+    _, rec = forward_batch(model, np.array([0.0, 0.0]))
     assert np.allclose(rec, [10.0, -5.0])
 
 
@@ -219,7 +234,7 @@ def test_save_load_pca_bit_identical(tmp_path):
     save_model(model, p)
     back = load_model(p)
     x = rng.normals((4, 5))
-    assert pca_reconstruct(back, x).tobytes() == pca_reconstruct(model, x).tobytes()
+    assert forward_batch(back, x)[1].tobytes() == forward_batch(model, x)[1].tobytes()
 
 
 def test_save_load_mlp_bit_identical(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for loss, backprop, optimizers, and the training loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from aeaudit.models import (
     build_mlp_autoencoder,
     forward_batch,
     pca_fit,
-    pca_reconstruct,
 )
 from aeaudit.rng import Rng
 from aeaudit.training import (
@@ -111,19 +112,27 @@ def test_gradient_check_with_preprocessing():
 
 
 def test_input_gradient_matches_finite_differences():
-    model = build_mlp_autoencoder([2, 5, 1, 5, 2], activation="relu", seed=17)
-    a = np.array([0.3, -0.8])
-    loss, grad = input_gradient(model, a)
-    h = 1e-6
-    for k in range(2):
-        ap = a.copy()
-        am = a.copy()
-        ap[k] += h
-        am[k] -= h
-        lp, _ = input_gradient(model, ap)
-        lm, _ = input_gradient(model, am)
-        fd = (lp - lm) / (2 * h)
-        assert grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+    mlp = build_mlp_autoencoder([2, 5, 1, 5, 2], activation="relu", seed=17)
+    # the conv case runs the backward pass through the flat <-> (1, 8, 8)
+    # reshape; a few sampled pixels pin that path
+    conv = build_conv_autoencoder(image_hw=(8, 8), channels=(3, 4), latent_dim=2, seed=5)
+    cases = [
+        (mlp, np.array([0.3, -0.8]), range(2)),
+        (conv, Rng(6).uniforms(0.0, 1.0, (64,)), (0, 9, 27, 36, 63)),
+    ]
+    for model, a, coords in cases:
+        loss, grad = input_gradient(model, a)
+        assert grad.shape == a.shape
+        h = 1e-6
+        for k in coords:
+            ap = a.copy()
+            am = a.copy()
+            ap[k] += h
+            am[k] -= h
+            lp, _ = input_gradient(model, ap)
+            lm, _ = input_gradient(model, am)
+            fd = (lp - lm) / (2 * h)
+            assert grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 def test_input_gradient_through_preprocessing():
@@ -197,7 +206,7 @@ def test_train_linear_ae_on_diagonal_toy_reaches_pca_floor():
     trained, report = train(model, ds, cfg)
     # rank-1 data: PCA with d=1 achieves exactly zero loss
     pca = pca_fit(ds.x, 1)
-    floor = batch_loss(ds.x, pca_reconstruct(pca, ds.x))
+    floor = batch_loss(ds.x, forward_batch(pca, ds.x)[1])
     assert floor < 1e-20
     assert report.final_loss < 1e-4
     assert len(report.epoch_losses) == 500
@@ -257,6 +266,17 @@ def test_train_divergence_names_non_finite_parameter():
     assert "non-finite parameter dense.weight in epoch 1" in str(err.value)
 
 
+def test_train_divergence_emits_no_numpy_warning():
+    ds = generate(SyntheticSpec(family="gaussian", samples_per_component=20, seed=9))
+    model = build_mlp_autoencoder([2, 4, 1, 4, 2], activation="linear", seed=5)
+    cfg = TrainConfig(epochs=20, batch_size=20, learning_rate=1e308, optimizer="sgd", seed=0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TrainingDivergedError):
+            train(model, ds, cfg)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_train_rejects_test_role():
     ds = generate(SyntheticSpec(family="gaussian", samples_per_component=10, seed=1))
     test_ds = Dataset(x=ds.x, role="test")
@@ -280,6 +300,14 @@ def test_train_config_validation_and_json():
                 {"learning_rate": "0.1"}, {"checkpoint_dir": 3}):
         with pytest.raises(InputDomainError):
             TrainConfig.from_json_dict(bad)
+    for bad in ({"eps": -1.0}, {"eps": 0.0}, {"beta1": 1.0}, {"beta1": -0.1},
+                {"beta2": 1.5}, {"beta2": float("nan")}, {"learning_rate": float("nan")},
+                {"learning_rate": float("inf")}):
+        name = next(iter(bad))
+        with pytest.raises(InputDomainError, match=name):
+            TrainConfig.from_json_dict(bad)
+    cfg = TrainConfig.from_json_dict({"beta1": 0.0, "beta2": 0.0, "eps": 1e-300})
+    assert (cfg.beta1, cfg.beta2, cfg.eps) == (0.0, 0.0, 1e-300)
 
 
 def test_checkpointing_writes_snapshots(tmp_path):
