@@ -34,9 +34,6 @@ from .models import (
 from .rng import Rng, derive_seed
 from .training import input_gradient
 
-METHODS = ("analytic_pca", "analytic_linear", "relu_toy", "latent_decode", "pgd")
-
-
 @dataclass
 class AdversaryResult:
     """A candidate adversarial anomaly and its independently measured stats.

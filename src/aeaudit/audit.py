@@ -24,9 +24,6 @@ from .anomaly import sample_scores
 from .errors import InputDomainError, NumericalError
 from .models import decode_batch, encode_batch
 
-SPACES = ("input2d", "latent2d")
-
-
 @dataclass
 class Region:
     """A 4-connected set of grid cells whose loss is below epsilon."""

@@ -359,7 +359,8 @@ def load_model(path):
 
     Raises:
         FormatError: Not valid JSON, wrong format/version tag, or missing
-            fields.
+            or mistyped fields.
+        InputDomainError: Well-typed fields that violate a model invariant.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -395,6 +396,8 @@ def load_model(path):
                 preprocessing=preprocessing,
                 seed=int(doc.get("seed", 0)),
             )
-    except (KeyError, TypeError) as exc:
+    except InputDomainError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed model document ({exc})") from None
     raise FormatError(f"{path}: unknown model kind {doc.get('kind')!r}")

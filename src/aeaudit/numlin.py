@@ -1,9 +1,7 @@
 """Dense linear algebra kernel: SVD, subspace angles, distances.
 
 All routines work on 64-bit float numpy arrays and are pure functions of
-their inputs. The SVD is a self-contained one-sided Jacobi implementation,
-accurate to ~1e-12 orthonormality at desk scale, so nothing here depends on
-LAPACK behavior that could differ between builds.
+their inputs. The SVD and QR factorizations are LAPACK's, via numpy.
 """
 
 from __future__ import annotations
@@ -12,10 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBasisError, InputDomainError, NumericalError
-
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
+from .errors import DegenerateBasisError, InputDomainError
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -53,24 +48,19 @@ class SvdResult:
 
 
 def svd(x) -> SvdResult:
-    """Thin SVD via one-sided Jacobi rotations.
+    """Thin SVD via LAPACK (``np.linalg.svd``).
 
-    Sweeps over column pairs, rotating until every normalized off-diagonal
-    inner product falls below 1e-12. Singular values are returned descending;
-    each right-singular vector is signed so its largest-magnitude entry is
-    positive, which makes outputs comparable across runs. With repeated
-    singular values only the spanned subspaces are well defined.
+    Singular values are returned descending; each right-singular vector is
+    signed so its largest-magnitude entry is positive, which makes outputs
+    comparable across runs. With repeated singular values only the spanned
+    subspaces are well defined.
 
     Raises:
         InputDomainError: Non-finite input.
-        NumericalError: No convergence within the sweep cap.
     """
     a = as_matrix(x, "svd input")
-    m, n = a.shape
-    if m < n:
-        res = _svd_tall(a.T)
-        return _signed(SvdResult(u=res.v, sigma=res.sigma, v=res.u))
-    return _signed(_svd_tall(a))
+    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    return _signed(SvdResult(u=u, sigma=sigma, v=vt.T))
 
 
 def _signed(res: SvdResult) -> SvdResult:
@@ -83,95 +73,27 @@ def _signed(res: SvdResult) -> SvdResult:
     return res
 
 
-def _svd_tall(a: np.ndarray) -> SvdResult:
-    m, n = a.shape
-    a = a.copy()
-    v = np.eye(n)
-    converged = False
-    worst = 0.0
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        rotated = False
-        worst = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                alpha = float(a[:, p] @ a[:, p])
-                beta = float(a[:, q] @ a[:, q])
-                gamma = float(a[:, p] @ a[:, q])
-                denom = np.sqrt(alpha * beta)
-                if denom == 0.0:
-                    continue
-                worst = max(worst, abs(gamma) / denom)
-                if abs(gamma) <= _JACOBI_TOL * denom:
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                sign = 1.0 if zeta >= 0.0 else -1.0
-                t = sign / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                ap = a[:, p].copy()
-                a[:, p] = c * ap - s * a[:, q]
-                a[:, q] = s * ap + c * a[:, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-        if not rotated:
-            converged = True
-            break
-    if not converged:
-        raise NumericalError(
-            f"jacobi SVD did not converge in {_JACOBI_MAX_SWEEPS} sweeps; "
-            f"max normalized off-diagonal residual {worst:.3e}"
-        )
-
-    sigma = np.sqrt(np.sum(a * a, axis=0))
-    u = np.zeros((m, n))
-    # Columns with negligible norm carry no direction; complete the basis below.
-    tiny = max(m, n) * np.finfo(np.float64).eps * (sigma.max() if sigma.size else 0.0)
-    nonzero = sigma > tiny
-    u[:, nonzero] = a[:, nonzero] / sigma[nonzero]
-    _complete_basis(u, np.flatnonzero(~nonzero))
-
-    order = np.argsort(-sigma, kind="stable")
-    return SvdResult(u=u[:, order], sigma=sigma[order], v=v[:, order])
-
-
-def _complete_basis(u: np.ndarray, empty_cols: np.ndarray) -> None:
-    """Fill zero columns of u with unit vectors orthogonal to the rest."""
-    m = u.shape[0]
-    for j in empty_cols:
-        for cand in range(m):
-            r = np.zeros(m)
-            r[cand] = 1.0
-            for _ in range(2):  # re-orthogonalize for stability
-                r -= u @ (u.T @ r)
-            norm = np.linalg.norm(r)
-            if norm > 0.5:
-                u[:, j] = r / norm
-                break
-        else:
-            raise NumericalError("could not complete orthonormal basis")
-
-
 def orthonormal_columns(x, name: str = "matrix") -> np.ndarray:
-    """Orthonormal basis with the same column span, via modified Gram-Schmidt.
+    """Orthonormal basis with the same column span, via Householder QR.
 
     Raises:
-        DegenerateBasisError: Columns are linearly dependent.
+        DegenerateBasisError: Columns are linearly dependent, including more
+            columns than rows.
     """
     a = as_matrix(x, name)
-    q = a.copy()
+    m, n = a.shape
+    if n > m:
+        raise DegenerateBasisError(
+            f"{name} column {m} is linearly dependent on earlier columns "
+            f"({n} columns in {m} dimensions)"
+        )
+    q, r = np.linalg.qr(a)
     scale = np.sqrt(np.sum(a * a, axis=0))
-    for k in range(q.shape[1]):
-        for _ in range(2):
-            for i in range(k):
-                q[:, k] -= (q[:, i] @ q[:, k]) * q[:, i]
-        norm = np.linalg.norm(q[:, k])
-        if norm <= 1e-10 * max(scale[k], 1.0):
-            raise DegenerateBasisError(
-                f"{name} column {k} is linearly dependent on earlier columns"
-            )
-        q[:, k] /= norm
+    dependent = np.flatnonzero(np.abs(np.diag(r)) <= 1e-10 * np.maximum(scale, 1.0))
+    if dependent.size:
+        raise DegenerateBasisError(
+            f"{name} column {dependent[0]} is linearly dependent on earlier columns"
+        )
     return q
 
 
@@ -194,14 +116,7 @@ def principal_angles(a, b) -> np.ndarray:
 
 def pairwise_min_distance(x, a) -> float:
     """Euclidean distance from vector a to the nearest row of x."""
-    xm = as_matrix(x, "data matrix")
-    av = as_vector(a, "query vector")
-    if av.shape[0] != xm.shape[1]:
-        raise InputDomainError(
-            f"query has length {av.shape[0]}, rows have length {xm.shape[1]}"
-        )
-    diff = xm - av
-    return float(np.sqrt(np.min(np.sum(diff * diff, axis=1))))
+    return nearest_row(x, a)[1]
 
 
 def nearest_row(x, a) -> tuple[int, float]:

@@ -139,7 +139,7 @@ def backward(model: AutoencoderModel, batch: np.ndarray) -> tuple[float, list[di
     a, out = _network_forward(model, batch, caches)
     b, n = a.shape
     dy = (2.0 / (b * n)) * (out - a)
-    loss = float(np.sum((a - out) ** 2)) / (b * n)
+    loss = batch_loss(a, out)
     _, grads = _backprop(model, dy, caches)
     return loss, grads
 

@@ -7,7 +7,7 @@ import pytest
 
 from aeaudit.cli import main
 from aeaudit.datagen import load_csv, save_idx
-from aeaudit.models import load_model, pca_fit, save_model
+from aeaudit.models import build_mlp_autoencoder, load_model, pca_fit, save_model
 from aeaudit.rng import Rng
 
 
@@ -229,6 +229,32 @@ def test_score_malformed_baseline_exit_2(tmp_path, gaussian_csv, pca_model_file,
     )
     assert code == 2
     assert f"{baseline}:3:" in capsys.readouterr().err
+
+
+def _weight_as_string(doc):
+    doc["encoder"][0]["weight"] = "abc"
+
+
+def _ragged_weight(doc):
+    doc["encoder"][0]["weight"][1] = doc["encoder"][0]["weight"][1][:-1]
+
+
+def _latent_dim_as_string(doc):
+    doc["latent_dim"] = "x"
+
+
+@pytest.mark.parametrize("corrupt", [_weight_as_string, _ragged_weight, _latent_dim_as_string])
+def test_score_malformed_model_document_exit_2(tmp_path, gaussian_csv, capsys, corrupt):
+    path = tmp_path / "model.json"
+    save_model(build_mlp_autoencoder([2, 3, 1, 3, 2], seed=4), path)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    code = run("score", "--model", path, "--data", gaussian_csv, "-o", tmp_path / "s.csv")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{path}: malformed model document" in err
+    assert "internal error" not in err
 
 
 def test_score_empty_dataset_exit_2(tmp_path, pca_model_file):

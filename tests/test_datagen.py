@@ -8,6 +8,7 @@ import pytest
 from aeaudit.datagen import (
     Dataset,
     SyntheticSpec,
+    _covariance_factor,
     generate,
     load_csv,
     load_mnist,
@@ -37,6 +38,9 @@ def test_gaussian_custom_mean_and_covariance():
     ds = generate(spec)
     assert np.allclose(ds.x.mean(axis=0), [5.0, -1.0], atol=0.2)
     assert np.allclose(ds.x.std(axis=0), [2.0, 0.5], atol=0.15)
+    # identity-like covariances factor exactly, so their draws are unscaled normals
+    assert _covariance_factor(np.eye(2)).tobytes() == np.eye(2).tobytes()
+    assert _covariance_factor(9.0 * np.eye(2)).tobytes() == (3.0 * np.eye(2)).tobytes()
 
 
 def test_double_gaussian_components_and_labels():

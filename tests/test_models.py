@@ -1,5 +1,7 @@
 """Tests for the model zoo: PCA, MLP/conv autoencoders, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,17 @@ def test_load_truncated_file(tmp_path):
     clipped.write_bytes(p.read_bytes()[: p.stat().st_size // 2])
     with pytest.raises(FormatError):
         load_model(clipped)
+
+
+def test_load_well_typed_invariant_violation_stays_input_domain_error(tmp_path):
+    p = tmp_path / "model.json"
+    save_model(build_mlp_autoencoder([2, 3, 1, 3, 2], seed=1), p)
+    doc = json.loads(p.read_text())
+    doc["latent_dim"] = 2  # the encoder ends in 1 unit
+    p.write_text(json.dumps(doc))
+    with pytest.raises(InputDomainError, match="latent_dim") as exc:
+        load_model(p)
+    assert not isinstance(exc.value, FormatError)
 
 
 def test_load_missing_format_tag(tmp_path):

@@ -178,6 +178,11 @@ def test_principal_angles_rank_deficient_raises():
     a = np.ones((4, 2))  # dependent columns
     with pytest.raises(DegenerateBasisError):
         principal_angles(a, np.eye(4)[:, :2])
+    wide = Rng(21).normals((2, 3))  # more columns than dimensions
+    with pytest.raises(DegenerateBasisError):
+        orthonormal_columns(wide)
+    with pytest.raises(DegenerateBasisError):
+        principal_angles(wide, np.eye(2))
 
 
 def test_orthonormal_columns_basic():
