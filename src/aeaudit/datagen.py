@@ -7,6 +7,7 @@ documented order, so a fixed spec reproduces bit-identical matrices anywhere.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -297,7 +298,7 @@ def load_csv(path, has_header: bool = False, role: str = "train") -> Dataset:
                 values = [float(c) for c in record]
             except ValueError as exc:
                 raise FormatError(f"{path}: non-numeric cell in row {lineno}: {exc}") from None
-            if not all(np.isfinite(v) for v in values):
+            if not all(math.isfinite(v) for v in values):
                 raise FormatError(f"{path}: non-finite value in row {lineno}")
             if rows and len(values) != len(rows[0]):
                 raise FormatError(

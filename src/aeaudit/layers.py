@@ -3,8 +3,10 @@
 Conventions: samples are rows, dense weights have shape (fan_in, fan_out) so
 a layer computes x @ W + b. Image tensors are (batch, channels, height,
 width). Every layer exposes `in_shape` and `out_shape`: an int for a flat
-width, a (C, H, W) tuple for an image. Convolutions use im2col/col2im so the
-heavy lifting is matrix multiplication; the transposed convolution is
+width, a (C, H, W) tuple for an image. Convolutions gather patches with
+im2col (a strided view of the padded input, copied once) and scatter them
+back with col2im (a bincount over the same patch indices), so every
+contraction is a BLAS matmul or tensordot. The transposed convolution is
 implemented as the exact adjoint of a strided convolution, which is what
 makes the finite-difference gradient checks pass to 1e-6.
 """
@@ -77,25 +79,20 @@ def upconv_output_hw(
     return ho, wo
 
 
-def _im2col_indices(ci, h, w, kernel, stride, padding):
-    ho, wo = conv_output_hw(h, w, kernel, stride, padding)
-    i0 = np.tile(np.repeat(np.arange(kernel), kernel), ci)
-    j0 = np.tile(np.arange(kernel), kernel * ci)
-    i1 = stride * np.repeat(np.arange(ho), wo)
-    j1 = stride * np.tile(np.arange(wo), ho)
-    i = i0[:, None] + i1[None, :]
-    j = j0[:, None] + j1[None, :]
-    k = np.repeat(np.arange(ci), kernel * kernel)[:, None]
-    return k, i, j, ho, wo
-
-
 def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Gather conv patches: (B, C, H, W) -> (B, C*k*k, Ho*Wo)."""
-    _, c, h, w = x.shape
-    k, i, j, _, _ = _im2col_indices(c, h, w, kernel, stride, padding)
+    """Gather conv patches: (B, C, H, W) -> (B, C*k*k, Ho*Wo).
+
+    Row c*k*k + ki*k + kj, column oh*Wo + ow holds the padded input at
+    (c, ki + stride*oh, kj + stride*ow). The patches are a strided view of
+    the padded input; the final reshape is the only copy.
+    """
+    b, c, h, w = x.shape
+    ho, wo = conv_output_hw(h, w, kernel, stride, padding)
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    return x[:, k, i, j]
+    win = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # (B, C, Ho, Wo, k, k)
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kernel * kernel, ho * wo)
 
 
 def col2im(
@@ -103,10 +100,10 @@ def col2im(
 ) -> np.ndarray:
     """Scatter-add patches back: exact adjoint of im2col."""
     b, c, h, w = out_shape
-    k, i, j, _, _ = _im2col_indices(c, h, w, kernel, stride, padding)
     hp, wp = h + 2 * padding, w + 2 * padding
     size = c * hp * wp
-    flat = ((k * hp + i) * wp + j).ravel()
+    # im2col of the padded image's flat indices: where each patch entry came from
+    flat = im2col(np.arange(size).reshape(1, c, hp, wp), kernel, stride, 0).ravel()
     idx = (np.arange(b)[:, None] * size + flat[None, :]).ravel()
     summed = np.bincount(idx, weights=cols.reshape(b, -1).ravel(), minlength=b * size)
     xp = summed.reshape(b, c, hp, wp)
@@ -225,7 +222,7 @@ class Conv2dLayer:
         co = self.out_shape[0]
         dz = act_backward(self.activation, dy, z, y).reshape(b, co, -1)
         wmat = self.weight.reshape(co, -1)
-        dwmat = np.einsum("bol,bkl->ok", dz, cols)
+        dwmat = np.tensordot(dz, cols, axes=([0, 2], [0, 2]))
         db = dz.sum(axis=(0, 2))
         dcols = wmat.T @ dz
         dx = col2im(dcols, (b, *self.in_shape), self.kernel, self.stride, self.padding)
@@ -308,7 +305,7 @@ class Upconv2dLayer:
         ci = self.in_shape[0]
         x_mat = x.reshape(b, ci, -1)
         wmat = self.weight.reshape(ci, -1)  # (Ci, Co*k*k)
-        cols = np.einsum("ik,bil->bkl", wmat, x_mat)
+        cols = wmat.T @ x_mat
         z = col2im(cols, (b, *self.out_shape), self.kernel, self.stride, self.padding)
         z = z + self.bias[None, :, None, None]
         y = act_forward(self.activation, z)
@@ -322,8 +319,8 @@ class Upconv2dLayer:
         db = dz.sum(axis=(0, 2, 3))
         dcols = im2col(dz, self.kernel, self.stride, self.padding)  # (B, Co*k*k, H*W)
         wmat = self.weight.reshape(ci, -1)
-        dwmat = np.einsum("bil,bkl->ik", x_mat, dcols)
-        dx = np.einsum("ik,bkl->bil", wmat, dcols).reshape(b, *self.in_shape)
+        dwmat = np.tensordot(x_mat, dcols, axes=([0, 2], [0, 2]))
+        dx = (wmat @ dcols).reshape(b, *self.in_shape)
         return dx, {"weight": dwmat.reshape(self.weight.shape), "bias": db}
 
     def params(self) -> dict[str, np.ndarray]:

@@ -51,9 +51,11 @@ def svd(x) -> SvdResult:
     """Thin SVD via LAPACK (``np.linalg.svd``).
 
     Singular values are returned descending; each right-singular vector is
-    signed so its largest-magnitude entry is positive, which makes outputs
-    comparable across runs. With repeated singular values only the spanned
-    subspaces are well defined.
+    signed so its leading entry (the first of largest magnitude, ties
+    within a relative 1e-12 included) is positive. That pins each pair's
+    sign even when two entries tie in magnitude up to rounding, so LAPACK
+    builds that round differently still agree on it. With repeated
+    singular values only the spanned subspaces are well defined.
 
     Raises:
         InputDomainError: Non-finite input.
@@ -64,12 +66,18 @@ def svd(x) -> SvdResult:
 
 
 def _signed(res: SvdResult) -> SvdResult:
-    """Flip column pairs so each right-singular vector's largest entry is > 0."""
-    for j in range(res.v.shape[1]):
-        k = int(np.argmax(np.abs(res.v[:, j])))
-        if res.v[k, j] < 0.0:
-            res.v[:, j] = -res.v[:, j]
-            res.u[:, j] = -res.u[:, j]
+    """Flip column pairs so each right-singular vector's leading entry is > 0.
+
+    The leading entry is the first one within a relative 1e-12 of the
+    column's largest magnitude, so entries that tie up to rounding (the
+    eigenvectors of [[2, 1], [1, 2]], say) pick the same sign whichever
+    of them rounding happened to make larger.
+    """
+    mag = np.abs(res.v)
+    lead = np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=0), axis=0)
+    flip = res.v[lead, np.arange(res.v.shape[1])] < 0.0
+    res.v[:, flip] = -res.v[:, flip]
+    res.u[:, flip] = -res.u[:, flip]
     return res
 
 

@@ -227,6 +227,11 @@ def test_csv_errors_name_row(tmp_path):
     nan.write_text("1,nan\n")
     with pytest.raises(FormatError, match="row 1"):
         load_csv(nan)
+    for cell in ("inf", "-inf", "1e999"):
+        infinite = tmp_path / "infinite.csv"
+        infinite.write_text(f"1,2\n3,4\n5,{cell}\n")
+        with pytest.raises(FormatError, match="non-finite value in row 3"):
+            load_csv(infinite)
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(FormatError, match="no data rows"):

@@ -6,6 +6,7 @@ import pytest
 from aeaudit.errors import DegenerateBasisError, InputDomainError
 from aeaudit.numlin import (
     SvdResult,
+    _signed,
     nearest_row,
     orthonormal_columns,
     pairwise_min_distance,
@@ -102,6 +103,21 @@ def test_svd_sign_convention_and_determinism():
     for j in range(wide.v.shape[1]):
         k = int(np.argmax(np.abs(wide.v[:, j])))
         assert wide.v[k, j] > 0.0
+
+
+def test_svd_sign_convention_ignores_last_bit_ties():
+    # (x, -y) and (-y, x) are one vector to rounding, with the larger
+    # magnitude on opposite entries: argmax alone would sign them oppositely
+    x = 1.0 / np.sqrt(2.0)
+    y = np.nextafter(x, 1.0)
+    u = np.array([[0.6], [0.8]])
+    a = _signed(SvdResult(u=u.copy(), sigma=np.array([3.0]), v=np.array([[x], [-y]])))
+    b = _signed(SvdResult(u=-u, sigma=np.array([3.0]), v=np.array([[-y], [x]])))
+    assert np.array_equal(np.sign(a.v), np.sign(b.v))
+    assert np.array_equal(a.u, u) and np.array_equal(b.u, u)
+    # a sign-flipped pair comes back to the same bytes
+    c = _signed(SvdResult(u=-u, sigma=np.array([3.0]), v=np.array([[-x], [y]])))
+    assert c.u.tobytes() == a.u.tobytes() and c.v.tobytes() == a.v.tobytes()
 
 
 def test_svd_agrees_with_lapack_singular_values():
