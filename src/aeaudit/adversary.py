@@ -7,15 +7,16 @@ they can be written down in closed form: any point of the model's
 reconstruction-invariant affine subspace works, and moving far enough from
 the centroid of the training encodings buys an arbitrary distance floor.
 For nonlinear models the module decodes latent-space candidates and runs a
-projected gradient search.
+projected gradient search whose restarts step together as one batch.
 
 Every result reports its loss from a fresh forward pass and its distance
-from an exhaustive scan over the training rows; nothing is trusted from the
-construction or search that produced it.
+from an exhaustive scan over the training rows (`_measured`); nothing is
+trusted from the construction or search that produced it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,11 @@ from .models import (
 )
 from .rng import Rng, derive_seed
 from .training import input_gradient
+
+# Largest principal angle (radians) between a linear encoder's span and the
+# top principal subspace for which the analytic linear construction holds.
+ANGLE_TOL = 1e-2
+
 
 @dataclass
 class AdversaryResult:
@@ -53,13 +59,10 @@ class AdversaryResult:
     diagnostics: dict | None = None
 
     def to_json_dict(self) -> dict:
-        def clean(v: float):
-            return float(v) if np.isfinite(v) else None
-
         return {
             "a": self.a.tolist(),
-            "loss": clean(self.loss),
-            "min_dist_to_train": clean(self.min_dist_to_train),
+            "loss": numlin.finite_or_none(self.loss),
+            "min_dist_to_train": numlin.finite_or_none(self.min_dist_to_train),
             "delta_requested": float(self.delta_requested),
             "method": self.method,
             "latent_point": None if self.latent_point is None else self.latent_point.tolist(),
@@ -69,8 +72,31 @@ class AdversaryResult:
         }
 
 
-def _latent_ray(encodings: np.ndarray, direction: np.ndarray | None):
-    """Centroid, radius, and outward unit direction of a latent point cloud."""
+def _measured(model, xm: np.ndarray, a: np.ndarray, delta: float, method: str, **fields):
+    """The result for candidate a: its loss from a fresh forward pass and its
+    distance from an exhaustive scan of the training rows xm."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = float(sample_scores(model, a[None, :])[0])
+        dist = numlin.pairwise_min_distance(xm, a)
+    return AdversaryResult(a=a, loss=loss, min_dist_to_train=dist, delta_requested=delta,
+                           method=method, **fields)
+
+
+def _require_delta(delta: float) -> None:
+    if not (delta > 0 and math.isfinite(delta)):
+        raise InputDomainError(f"delta must be finite and > 0, got {delta}")
+
+
+def _latent_walk(model, xm: np.ndarray, delta: float, direction, method: str):
+    """Decode a point on a latent ray out of the training encodings' cloud.
+
+    The ray starts at the centroid of the encodings and points along
+    `direction` (default: toward the farthest encoding). The walk starts
+    past the farthest encoding by delta plus a safety margin and doubles
+    the step until the decoded point is farther than delta from every
+    training row.
+    """
+    encodings = encode_batch(model, xm)
     center = encodings.mean(axis=0)
     offsets = encodings - center
     norms = np.sqrt(np.sum(offsets * offsets, axis=1))
@@ -84,13 +110,24 @@ def _latent_ray(encodings: np.ndarray, direction: np.ndarray | None):
         nu = float(np.linalg.norm(u))
         if nu == 0.0:
             raise InputDomainError("direction must be nonzero")
-        return center, radius, u / nu
-    if radius == 0.0:
+        u = u / nu
+    elif radius == 0.0:
         u = np.zeros(encodings.shape[1])
         u[0] = 1.0
-        return center, radius, u
-    far = offsets[int(np.argmax(norms))]
-    return center, radius, far / np.linalg.norm(far)
+    else:
+        far = offsets[int(np.argmax(norms))]
+        u = far / np.linalg.norm(far)
+    t = radius + delta + max(1.0, 0.01 * radius)
+    for _ in range(80):
+        c = center + t * u
+        res = _measured(model, xm, decode_batch(model, c), delta, method, latent_point=c)
+        if res.min_dist_to_train > delta:
+            return res
+        t *= 2.0
+    raise NumericalError(
+        "decoder collapsed the outward latent direction; could not reach the "
+        f"requested distance {delta} (last distance {res.min_dist_to_train:.3g})"
+    )
 
 
 def construct_pca_adversary(
@@ -102,26 +139,12 @@ def construct_pca_adversary(
     encodings, past the farthest encoding, by delta plus a safety margin.
     Decoding that latent point gives an exactly self-reconstructing input
     whose distance to every training row exceeds delta, because the latent
-    offset is a lower bound on the input-space distance.
+    offset is a lower bound on the input-space distance (so the first step
+    of the walk always clears delta).
     """
-    if delta <= 0:
-        raise InputDomainError(f"delta must be > 0, got {delta}")
+    _require_delta(delta)
     xm = numlin.as_matrix(x, "training data")
-    encodings = encode_batch(model, xm)
-    center, radius, u = _latent_ray(encodings, direction)
-    margin = max(1.0, 0.01 * radius)
-    c = center + (radius + delta + margin) * u
-    a = decode_batch(model, c)
-    loss = float(sample_scores(model, a[None, :])[0])
-    dist = numlin.pairwise_min_distance(xm, a)
-    return AdversaryResult(
-        a=a,
-        loss=loss,
-        min_dist_to_train=dist,
-        delta_requested=delta,
-        method="analytic_pca",
-        latent_point=c,
-    )
+    return _latent_walk(model, xm, delta, direction, "analytic_pca")
 
 
 def linear_encoder_matrix(model: AutoencoderModel) -> np.ndarray:
@@ -144,21 +167,19 @@ def construct_linear_ae_adversary(
     model: AutoencoderModel,
     x,
     delta: float,
-    angle_tol: float = 1e-2,
     direction: np.ndarray | None = None,
 ) -> AdversaryResult:
     """Closed-form anomaly for a trained linear autoencoder.
 
     First verifies the encoder span coincides with the top principal
-    subspace of the training data (all principal angles below angle_tol);
+    subspace of the training data (all principal angles below ANGLE_TOL);
     otherwise the zero-loss ray the construction relies on does not exist
     and the call refuses with the measured angles. The walk happens in the
     model's own latent space and the model's own decoder produces a; since
     that decoder is only approximately an isometry, the step length doubles
     until the recomputed input-space distance clears delta.
     """
-    if delta <= 0:
-        raise InputDomainError(f"delta must be > 0, got {delta}")
+    _require_delta(delta)
     xm = numlin.as_matrix(x, "training data")
     w_enc = linear_encoder_matrix(model)
     for layer in model.decoder:
@@ -169,37 +190,14 @@ def construct_linear_ae_adversary(
     d = model.latent_dim
     pca = pca_fit(xm, d)
     angles = numlin.principal_angles(w_enc, pca.basis)
-    if float(angles.max()) >= angle_tol:
+    if float(angles.max()) >= ANGLE_TOL:
         raise SubspaceMismatchError(
             f"encoder span is {float(angles.max()):.3e} rad from the top-{d} "
-            f"principal subspace (tolerance {angle_tol:.1e}); train the model "
-            f"closer to the optimum or raise the tolerance",
+            f"principal subspace (tolerance {ANGLE_TOL:.1e}); train the model "
+            f"closer to the optimum",
             angles=angles,
         )
-
-    encodings = encode_batch(model, xm)
-    center, radius, u = _latent_ray(encodings, direction)
-    margin = max(1.0, 0.01 * radius)
-    t = radius + delta + margin
-    for _ in range(80):
-        c = center + t * u
-        a = decode_batch(model, c)
-        dist = numlin.pairwise_min_distance(xm, a)
-        if dist > delta:
-            loss = float(sample_scores(model, a[None, :])[0])
-            return AdversaryResult(
-                a=a,
-                loss=loss,
-                min_dist_to_train=dist,
-                delta_requested=delta,
-                method="analytic_linear",
-                latent_point=c,
-            )
-        t *= 2.0
-    raise NumericalError(
-        "decoder collapsed the outward latent direction; could not reach the "
-        f"requested distance {delta} (last distance {dist:.3g})"
-    )
+    return _latent_walk(model, xm, delta, direction, "analytic_linear")
 
 
 def optimal_biases(w_enc, w_dec, x) -> tuple[np.ndarray, np.ndarray]:
@@ -317,17 +315,35 @@ def latent_decode_adversary(model: AutoencoderModel, z, x_train) -> AdversaryRes
     if zv.shape[0] != model.latent_dim:
         raise InputDomainError(f"latent point must have length {model.latent_dim}")
     xm = numlin.as_matrix(x_train, "training data")
-    a = decode_batch(model, zv)
-    loss = float(sample_scores(model, a[None, :])[0])
-    dist = numlin.pairwise_min_distance(xm, a)
-    return AdversaryResult(
-        a=a,
-        loss=loss,
-        min_dist_to_train=dist,
-        delta_requested=0.0,
-        method="latent_decode",
-        latent_point=zv,
-    )
+    return _measured(model, xm, decode_batch(model, zv), 0.0, "latent_decode", latent_point=zv)
+
+
+def _push_off(xm: np.ndarray, a: np.ndarray, delta: float) -> np.ndarray:
+    """Push a radially off its nearest training row, when that row is within
+    delta, to the first point of the ray that is farther than delta from
+    every training row."""
+    near_idx, near_dist = numlin.nearest_row(xm, a)
+    if near_dist > delta:
+        return a
+    direction = a - xm[near_idx]
+    norm = float(np.linalg.norm(direction))
+    if norm == 0.0:  # a sits on the row; any ray leads out
+        direction, norm = np.eye(a.shape[0])[0], 1.0
+    # The ray xm[near_idx] + t * u is within delta of row k for t in
+    # [lo_k, hi_k] = b_k -/+ sqrt(s_k). Move t past the intervals that
+    # cover it until none does, each time just outside so that the
+    # recomputed distance clears delta.
+    w = xm - xm[near_idx]
+    b = w @ (direction / norm)
+    s = b * b - np.sum(w * w, axis=1) + delta * delta
+    hit = s >= 0.0
+    lo, hi = b[hit] - np.sqrt(s[hit]), b[hit] + np.sqrt(s[hit])
+    t = delta * (1.0 + 1e-9)
+    covering = (lo <= t) & (hi >= t)
+    while covering.any():
+        t = float(hi[covering].max()) * (1.0 + 1e-9)
+        covering = (lo <= t) & (hi >= t)
+    return xm[near_idx] + t * direction / norm
 
 
 def pgd_adversary(
@@ -342,16 +358,22 @@ def pgd_adversary(
     """Projected gradient search for a low-loss input at distance > delta.
 
     Each restart starts uniformly inside the training bounding box inflated
-    to twice its extent, follows the gradient of the self-reconstruction
-    loss, and after every step is pushed radially away from its nearest
-    training row onto the delta sphere whenever it strays closer than
-    delta. The best restart by (independently re-evaluated) loss wins; ties
-    go to the lowest restart index. With steps=0 the best raw start is
-    returned unchanged. If every restart diverges the result has
-    search_failed=True and carries diagnostics instead of raising.
+    to twice its extent. All restarts step as one batch down the gradient of
+    the self-reconstruction loss; after every step each is pushed radially
+    off its nearest training row until no row is within delta (see
+    `_push_off`). A restart whose step turns non-finite stops at its last
+    finite point with status "diverged".
+
+    The best restart by (independently re-evaluated) loss wins among those
+    that did not diverge and lie farther than delta from every training row
+    by the scan that reports min_dist_to_train; ties go to the lowest index.
+    With steps=0 that is the best such raw start. If no restart qualifies,
+    the lowest-loss one comes back with search_failed=True and diagnostics
+    instead of raising.
     """
-    if delta <= 0:
-        raise InputDomainError(f"delta must be > 0, got {delta}")
+    _require_delta(delta)
+    if not (step_size > 0 and math.isfinite(step_size)):
+        raise InputDomainError(f"step_size must be finite and > 0, got {step_size}")
     if steps < 0 or restarts < 1:
         raise InputDomainError("steps must be >= 0 and restarts >= 1")
     xm = numlin.as_matrix(x, "training data")
@@ -363,72 +385,39 @@ def pgd_adversary(
     hi = xm.max(axis=0)
     center = (lo + hi) / 2.0
     half = (hi - lo) / 2.0
-    centroid = xm.mean(axis=0)
-    # project just outside the sphere so the recomputed distance clears delta
-    radius = delta * (1.0 + 1e-9)
-
-    candidates: list[np.ndarray] = []
-    statuses: list[str] = []
+    a = np.empty((restarts, xm.shape[1]))
     for r in range(restarts):
         rng = Rng(derive_seed(seed, r))
-        a = np.array([rng.uniform(c - 2.0 * h, c + 2.0 * h) for c, h in zip(center, half)])
-        status = "ok"
-        for _ in range(steps):
-            with np.errstate(over="ignore", invalid="ignore"):
-                _, grad = input_gradient(model, a)
-            if not np.all(np.isfinite(grad)):
-                status = "diverged"
-                break
-            a = a - step_size * grad
-            if not np.all(np.isfinite(a)):
-                status = "diverged"
-                break
-            near_idx, near_dist = numlin.nearest_row(xm, a)
-            if near_dist < delta:
-                direction = a - xm[near_idx]
-                norm = float(np.linalg.norm(direction))
-                if norm == 0.0:
-                    direction = a - centroid
-                    norm = float(np.linalg.norm(direction))
-                if norm == 0.0:
-                    direction = np.zeros_like(a)
-                    direction[0] = 1.0
-                    norm = 1.0
-                a = xm[near_idx] + radius * direction / norm
-        candidates.append(a)
-        statuses.append(status)
+        a[r] = [rng.uniform(c - 2.0 * h, c + 2.0 * h) for c, h in zip(center, half)]
 
-    losses = []
-    for a, status in zip(candidates, statuses):
-        if status == "diverged":
-            losses.append(float("inf"))
-            continue
+    live = np.ones(restarts, dtype=bool)
+    for _ in range(steps):
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
         with np.errstate(over="ignore", invalid="ignore"):
-            val = float(sample_scores(model, a[None, :])[0])
-        losses.append(val if np.isfinite(val) else float("inf"))
+            _, grad = input_gradient(model, a[idx])
+            stepped = a[idx] - step_size * grad
+            finite = np.all(np.isfinite(stepped), axis=1)
+            live[idx[~finite]] = False
+            for i, row in zip(idx[finite], stepped[finite]):
+                a[i] = _push_off(xm, row, delta)
+    statuses = ["ok" if ok else "diverged" for ok in live]
 
-    if all(not np.isfinite(v) for v in losses):
-        return AdversaryResult(
-            a=candidates[0],
-            loss=float("inf"),
-            min_dist_to_train=numlin.pairwise_min_distance(xm, candidates[0]),
-            delta_requested=delta,
-            method="pgd",
-            search_failed=True,
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = sample_scores(model, a)
+        dists = np.array([numlin.pairwise_min_distance(xm, row) for row in a])
+    losses[~(live & np.isfinite(losses))] = np.inf
+    feasible = np.isfinite(losses) & (dists > delta)
+    if not feasible.any():
+        best = int(np.argmin(losses))
+        return _measured(
+            model, xm, a[best], delta, "pgd", search_failed=True,
             diagnostics={"statuses": statuses, "steps": steps, "restarts": restarts},
         )
-
-    best = int(np.argmin(losses))
-    a = candidates[best]
-    loss = float(sample_scores(model, a[None, :])[0])
-    dist = numlin.pairwise_min_distance(xm, a)
-    return AdversaryResult(
-        a=a,
-        loss=loss,
-        min_dist_to_train=dist,
-        delta_requested=delta,
-        method="pgd",
-        latent_point=encode_batch(model, a),
+    best = int(np.argmin(np.where(feasible, losses, np.inf)))
+    return _measured(
+        model, xm, a[best], delta, "pgd", latent_point=encode_batch(model, a[best]),
         diagnostics={"restart": best, "statuses": statuses},
     )
 

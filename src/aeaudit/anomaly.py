@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numlin
 from .datagen import Dataset
-from .errors import InputDomainError
+from .errors import InputDomainError, NumericalError
 from .models import forward_batch
 
 CONVENTIONS = ("mean", "sum")
@@ -53,6 +53,16 @@ class Verdict:
     margin: float  # min_normal_score - score; positive means undetected
     ratio: float  # score / min_normal_score; < 1 is the portable criterion
 
+    def to_json_dict(self) -> dict:
+        """Verdict as JSON values; a non-finite number becomes null."""
+        return {
+            "undetected": self.undetected,
+            "score": numlin.finite_or_none(self.score),
+            "min_normal_score": self.min_normal_score,
+            "margin": numlin.finite_or_none(self.margin),
+            "ratio": numlin.finite_or_none(self.ratio),
+        }
+
 
 def sample_scores(model, x: np.ndarray, convention: str = "mean") -> np.ndarray:
     """Vector of per-row reconstruction losses."""
@@ -71,8 +81,15 @@ def sample_scores(model, x: np.ndarray, convention: str = "mean") -> np.ndarray:
 
 
 def score(model, dataset: Dataset, convention: str = "mean") -> ScoreTable:
-    """Score every sample of a dataset; table is sorted by descending score."""
-    scores = sample_scores(model, dataset.x, convention)
+    """Score every sample of a dataset; table is sorted by descending score.
+
+    Raises:
+        NumericalError: A score overflowed to a non-finite value.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = sample_scores(model, dataset.x, convention)
+    if not np.all(np.isfinite(scores)):
+        raise NumericalError(f"{int(np.sum(~np.isfinite(scores)))} scores are non-finite")
     order = np.argsort(-scores, kind="stable")
     entries = [
         ScoreEntry(
@@ -100,7 +117,8 @@ def is_undetected(a, model, train_scores: ScoreTable) -> Verdict:
     if train_scores.role != "train":
         raise InputDomainError("train_scores must come from a train-role dataset")
     av = numlin.as_vector(np.asarray(a, dtype=np.float64), "candidate")
-    s = float(sample_scores(model, av[None, :], train_scores.convention)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = float(sample_scores(model, av[None, :], train_scores.convention)[0])
     floor = train_scores.min_score
     ratio = s / floor if floor > 0 else (0.0 if s == 0.0 else float("inf"))
     return Verdict(

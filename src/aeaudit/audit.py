@@ -13,7 +13,7 @@ reproduces the coarse nodes bit for bit.
 
 from __future__ import annotations
 
-import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -22,7 +22,7 @@ import numpy as np
 from . import numlin
 from .anomaly import sample_scores
 from .errors import InputDomainError, NumericalError
-from .models import decode_batch, encode_batch
+from .models import decode_batch, encode_batch, write_json
 
 @dataclass
 class Region:
@@ -164,10 +164,14 @@ def scan_latent_space(
 
 def _scan(space, points, inflate, node_losses, bounds, resolution, epsilon, far_threshold):
     """Shared lattice scan: `node_losses` maps (k, 2) grid nodes to k losses."""
-    if bounds is None:
-        bounds = inflate_bounds(points, inflate)
+    if not (epsilon >= 0 and math.isfinite(epsilon)):
+        raise InputDomainError(f"epsilon must be finite and >= 0, got {epsilon}")
     if far_threshold is None:
         far_threshold = rms_far_threshold(points)
+    elif not (far_threshold >= 0 and math.isfinite(far_threshold)):
+        raise InputDomainError(f"far_threshold must be finite and >= 0, got {far_threshold}")
+    if bounds is None:
+        bounds = inflate_bounds(points, inflate)
     xs = grid_axis(bounds[0], bounds[1], resolution[0])
     ys = grid_axis(bounds[2], bounds[3], resolution[1])
     losses = node_losses(_grid_nodes(xs, ys)).reshape(ys.shape[0], xs.shape[0])
@@ -325,9 +329,7 @@ def audit_report(grid: AuditGrid, model_ref: str = "", seed: int | None = None) 
 
 
 def write_audit_report(grid: AuditGrid, path, model_ref: str = "", seed: int | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(audit_report(grid, model_ref, seed), f, sort_keys=True, indent=1)
-        f.write("\n")
+    write_json(audit_report(grid, model_ref, seed), path)
 
 
 # --- rendering ----------------------------------------------------------------
@@ -349,15 +351,14 @@ def _cell_color(loss: float, lo: float, hi: float, epsilon: float) -> str:
     return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
 
 
-def render_heatmap(grid: AuditGrid, path, cell_px: float | None = None) -> None:
+def render_heatmap(grid: AuditGrid, path) -> None:
     """SVG heatmap: log-scaled colors, red sub-epsilon cells, data markers.
 
     Output bytes depend only on the grid contents, so identical grids give
     identical files.
     """
     nx, ny = grid.resolution
-    if cell_px is None:
-        cell_px = max(1.0, 600.0 / max(nx, ny))
+    cell_px = max(1.0, 600.0 / max(nx, ny))
     width = nx * cell_px
     height = ny * cell_px
     lo = float(grid.losses.min())

@@ -54,6 +54,7 @@ from .models import (
     build_mlp_autoencoder,
     load_model,
     save_model,
+    write_json,
 )
 from .training import TrainConfig, train, write_train_report
 
@@ -123,9 +124,7 @@ def cmd_gen_data(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, out)
     sidecar = out.with_name(out.stem + ".spec.json")
-    with open(sidecar, "w", encoding="utf-8") as f:
-        json.dump(spec.to_json_dict(), f, sort_keys=True, indent=1)
-        f.write("\n")
+    write_json(spec.to_json_dict(), sidecar)
     _say(f"wrote {dataset.num_samples} samples to {out} (spec: {sidecar})")
     return EXIT_OK
 
@@ -335,20 +334,11 @@ def cmd_attack(args) -> int:
         )
 
     table = score(model, dataset)
-    verdict = is_undetected(result.a, model, table)
     doc = result.to_json_dict()
-    doc["verdict"] = {
-        "undetected": verdict.undetected,
-        "score": verdict.score,
-        "min_normal_score": verdict.min_normal_score,
-        "margin": verdict.margin,
-        "ratio": verdict.ratio if np.isfinite(verdict.ratio) else None,
-    }
+    doc["verdict"] = is_undetected(result.a, model, table).to_json_dict()
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True, indent=1)
-        f.write("\n")
+    write_json(doc, out)
     if args.pgm:
         n = result.a.shape[0]
         side = int(np.sqrt(n))
@@ -452,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AeauditError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (AeauditError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         _say(f"error: {exc}")
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - internal failure path

@@ -225,7 +225,6 @@ def build_mlp_autoencoder(
     activation: str = "relu",
     seed: int = 0,
     preprocessing: Preprocessing | None = None,
-    latent_index: int | None = None,
 ) -> AutoencoderModel:
     """Symmetric MLP autoencoder from a size list like [2, 5, 1, 5, 2].
 
@@ -241,10 +240,7 @@ def build_mlp_autoencoder(
         )
     if any(s < 1 for s in layer_sizes):
         raise InputDomainError("layer sizes must be positive")
-    if latent_index is None:
-        latent_index = 1 + int(np.argmin(layer_sizes[1:-1]))
-    if not 0 < latent_index < len(layer_sizes) - 1:
-        raise InputDomainError("latent index must be interior")
+    latent_index = 1 + int(np.argmin(layer_sizes[1:-1]))
 
     rng = Rng(seed)
     layers = []
@@ -349,8 +345,17 @@ def save_model(model, path) -> None:
         }
     else:
         raise InputDomainError(f"unsupported model type {type(model)!r}")
+    write_json(doc, path)
+
+
+def write_json(doc: dict, path) -> None:
+    """Write a JSON artifact: sorted keys, one-space indent, trailing newline.
+
+    NaN and Infinity are not JSON and raise ValueError. The document streams
+    to the file: building the string first would add its size to peak memory.
+    """
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True, indent=1)
+        json.dump(doc, f, sort_keys=True, indent=1, allow_nan=False)
         f.write("\n")
 
 

@@ -38,6 +38,11 @@ def require_finite(a: np.ndarray, name: str = "array") -> None:
         raise InputDomainError(f"{name} contains NaN or Inf entries")
 
 
+def finite_or_none(v: float) -> float | None:
+    """v as a float, or None (JSON null) when it is NaN or infinite."""
+    return float(v) if np.isfinite(v) else None
+
+
 @dataclass
 class SvdResult:
     """Thin SVD: x = u @ diag(sigma) @ v.T with orthonormal u (m,r), v (n,r)."""

@@ -9,8 +9,6 @@ the raw input space.
 from __future__ import annotations
 
 import copy
-import json
-import logging
 import math
 import numbers
 import time
@@ -22,10 +20,8 @@ from . import numlin
 from .datagen import Dataset
 from .errors import InputDomainError, TrainingDivergedError
 from .layers import run_layers
-from .models import AutoencoderModel, as_rows, save_model
+from .models import AutoencoderModel, as_rows, save_model, write_json
 from .rng import Rng, derive_seed
-
-logger = logging.getLogger(__name__)
 
 OPTIMIZERS = ("sgd", "adam")
 
@@ -52,7 +48,6 @@ class TrainConfig:
     eps: float = 1e-8
     seed: int = 0
     shuffle: bool = True
-    loss_log_interval: int = 0
     checkpoint_interval: int = 0
     checkpoint_dir: str | None = None
 
@@ -96,17 +91,14 @@ class TrainReport:
     wall_time_s: float
     seed: int
 
-    def to_json_dict(self, include_wall_time: bool = True) -> dict:
-        d = {
+    def to_json_dict(self) -> dict:
+        # wall time is left out so identical runs produce identical bytes;
+        # with no epochs there is no final loss (NaN), written as null
+        return {
             "epoch_losses": self.epoch_losses,
-            "final_loss": self.final_loss,
+            "final_loss": numlin.finite_or_none(self.final_loss),
             "seed": self.seed,
         }
-        # wall time is excluded from artifact files so identical runs
-        # produce identical bytes
-        if include_wall_time:
-            d["wall_time_s"] = self.wall_time_s
-        return d
 
 
 def reconstruction_loss(x, xhat) -> float:
@@ -164,32 +156,32 @@ def _backprop(model: AutoencoderModel, dy: np.ndarray, caches: list):
     return dx.reshape(dy.shape[0], -1), grads
 
 
-def input_gradient(model: AutoencoderModel, a: np.ndarray) -> tuple[float, np.ndarray]:
+def input_gradient(model: AutoencoderModel, a) -> tuple[float | np.ndarray, np.ndarray]:
     """Loss L(a) = mse(a, model(a)) and its gradient with respect to a.
 
-    Works in raw input space: the chain rule runs through the
-    standardization maps when the model has them.
+    Takes rows like every other entry point (see `models.as_rows`): an
+    (R, n) array gives R losses and an (R, n) gradient, a single vector a
+    float and a vector. Works in raw input space: the chain rule runs
+    through the standardization maps when the model has them.
     """
-    v = numlin.as_vector(np.asarray(a, dtype=np.float64), "input")
-    if v.shape[0] != model.input_dim:
-        raise InputDomainError(f"input must have length {model.input_dim}")
+    v, single = as_rows(a, model.input_dim, "input")
     caches: list = []
     std = model.preprocessing
-    _, net_out = _network_forward(model, v[None, :], caches)
+    _, net_out = _network_forward(model, v, caches)
     out = std.invert(net_out) if std is not None else net_out
 
-    n = v.shape[0]
-    r = v - out[0]
-    loss = float(r @ r) / n
+    n = v.shape[1]
+    r = v - out
+    loss = np.sum(r * r, axis=1) / n
     # dL/da = (2/n) (r - J^T r); J^T r via one backward pass
-    upstream = (2.0 / n) * r[None, :]
+    upstream = (2.0 / n) * r
     if std is not None:
         upstream = upstream * std.std  # through the de-standardization
     dx, _ = _backprop(model, upstream, caches)
     if std is not None:
         dx = dx / std.std  # through the standardization
-    grad = (2.0 / n) * r - dx[0]
-    return loss, grad
+    grad = (2.0 / n) * r - dx
+    return (float(loss[0]), grad[0]) if single else (loss, grad)
 
 
 def _pack(params: list[dict]) -> np.ndarray:
@@ -338,8 +330,6 @@ def train(
                 last_good_epoch=epoch - 1,
             )
         epoch_losses.append(total / m)
-        if config.loss_log_interval and (epoch + 1) % config.loss_log_interval == 0:
-            logger.info("epoch %d/%d loss %.6g", epoch + 1, config.epochs, epoch_losses[-1])
         if (
             config.checkpoint_interval
             and config.checkpoint_dir
@@ -396,7 +386,5 @@ def check_gradients(
     return worst
 
 
-def write_train_report(report: TrainReport, path, include_wall_time: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(report.to_json_dict(include_wall_time), f, sort_keys=True, indent=1)
-        f.write("\n")
+def write_train_report(report: TrainReport, path) -> None:
+    write_json(report.to_json_dict(), path)

@@ -336,6 +336,7 @@ def test_pgd_zero_steps_returns_best_raw_start():
     model = build_mlp_autoencoder([2, 5, 1, 5, 2], activation="relu", seed=5)
     res = pgd_adversary(model, ds.x, delta=1.0, steps=0, restarts=7, seed=11)
     # reproduce the starts by hand and check the reported point is the best
+    # of those farther than delta from every training row
     from aeaudit.rng import derive_seed
 
     lo, hi = ds.x.min(axis=0), ds.x.max(axis=0)
@@ -344,23 +345,51 @@ def test_pgd_zero_steps_returns_best_raw_start():
     for r in range(7):
         rng = Rng(derive_seed(11, r))
         a0 = np.array([rng.uniform(c - 2 * h, c + 2 * h) for c, h in zip(center, half)])
+        if pairwise_min_distance(ds.x, a0) <= 1.0:
+            continue
         loss = float(sample_scores(model, a0[None, :])[0])
         if best_loss is None or loss < best_loss:
             best_loss, best_a = loss, a0
+    assert best_loss is not None and not res.search_failed
     assert np.array_equal(res.a, best_a)
     assert res.loss == pytest.approx(best_loss, rel=0)
 
 
-def test_pgd_respects_distance_floor():
-    ds = generate(SyntheticSpec(family="gaussian", samples_per_component=40, seed=19))
+@pytest.fixture(scope="module")
+def floor_models():
+    """Model and training rows of each distance-floor case: a sparse one, and
+    the setting where PGD used to return points inside delta
+    (`gen-data --family gaussian --seed 42`, then a 200-epoch [2,5,1,5,2]
+    ReLU model at lr 1e-2, seed 0)."""
+    sparse = generate(SyntheticSpec(family="gaussian", samples_per_component=40, seed=19))
     model = build_mlp_autoencoder([2, 5, 1, 5, 2], activation="relu", seed=6)
-    trained, _ = train(
-        model, ds, TrainConfig(epochs=300, batch_size=40, learning_rate=1e-2, seed=1)
+    sparse_model, _ = train(
+        model, sparse, TrainConfig(epochs=300, batch_size=40, learning_rate=1e-2, seed=1)
     )
-    res = pgd_adversary(trained, ds.x, delta=3.0, steps=200, step_size=0.05, restarts=4, seed=7)
-    assert not res.search_failed
-    assert res.min_dist_to_train >= 3.0
-    assert res.min_dist_to_train == pairwise_min_distance(ds.x, res.a)
+    repro = generate(SyntheticSpec(family="gaussian", samples_per_component=100, seed=42))
+    model = build_mlp_autoencoder([2, 5, 1, 5, 2], activation="relu", seed=0)
+    repro_model, _ = train(
+        model, repro, TrainConfig(epochs=200, batch_size=32, learning_rate=1e-2, seed=0)
+    )
+    return {"sparse": (sparse_model, sparse.x), "repro": (repro_model, repro.x)}
+
+
+@pytest.mark.parametrize(
+    "case, delta, pgd_args",
+    [pytest.param("sparse", 3.0, dict(steps=200, step_size=0.05, restarts=4, seed=7), id="sparse")]
+    + [
+        pytest.param("repro", d, dict(steps=100, restarts=2, seed=s), id=f"repro-{d:g}-{s}")
+        for d in (0.5, 1.0, 2.0, 3.0)
+        for s in (0, 1, 2)
+    ],
+)
+def test_pgd_respects_distance_floor(floor_models, case, delta, pgd_args):
+    trained, x = floor_models[case]
+    res = pgd_adversary(trained, x, delta=delta, **pgd_args)
+    if case == "sparse":
+        assert not res.search_failed
+    assert res.search_failed or res.min_dist_to_train > delta
+    assert res.min_dist_to_train == pairwise_min_distance(x, res.a)
 
 
 def test_pgd_deterministic():

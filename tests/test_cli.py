@@ -7,7 +7,14 @@ import pytest
 
 from aeaudit.cli import main
 from aeaudit.datagen import load_csv, save_idx
-from aeaudit.models import build_mlp_autoencoder, load_model, pca_fit, save_model
+from aeaudit.layers import DenseLayer
+from aeaudit.models import (
+    AutoencoderModel,
+    build_mlp_autoencoder,
+    load_model,
+    pca_fit,
+    save_model,
+)
 from aeaudit.rng import Rng
 
 
@@ -17,6 +24,10 @@ def run(*argv):
 
 def read_bytes_map(paths):
     return {p.name: p.read_bytes() for p in paths}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 # --- gen-data ---------------------------------------------------------------
@@ -117,6 +128,17 @@ def test_train_arch_and_preset_mutually_exclusive(tmp_path, gaussian_csv):
         "train", "--data", gaussian_csv, "--epochs", 1, "-o", tmp_path / "m.json",
     )
     assert code == 2
+
+
+def test_train_zero_epochs_report_is_strict_json(tmp_path, gaussian_csv):
+    report = tmp_path / "report.json"
+    code = run(
+        "train", "--data", gaussian_csv, "--arch", "2,3,1,3,2", "--epochs", 0,
+        "-o", tmp_path / "m.json", "--report", report,
+    )
+    assert code == 0
+    doc = json.loads(report.read_text(), parse_constant=_reject_constant)
+    assert doc["epoch_losses"] == [] and doc["final_loss"] is None
 
 
 def test_train_config_file_overrides_flags(tmp_path, gaussian_csv):
@@ -264,6 +286,26 @@ def test_score_empty_dataset_exit_2(tmp_path, pca_model_file):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "case", ["data-is-a-directory", "output-under-a-file", "binary-data", "binary-model"]
+)
+def test_score_unreadable_path_exit_2(tmp_path, gaussian_csv, pca_model_file, capsys, case):
+    binary = tmp_path / "binary"
+    binary.write_bytes(bytes(range(256)))
+    model, data, out = pca_model_file, gaussian_csv, tmp_path / "s.csv"
+    if case == "data-is-a-directory":
+        data = tmp_path
+    elif case == "output-under-a-file":
+        out = gaussian_csv / "out.csv"
+    elif case == "binary-data":
+        data = binary
+    else:
+        model = binary
+    code = run("score", "--model", model, "--data", data, "-o", out)
+    assert code == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
 # --- audit -------------------------------------------------------------------------
 
 
@@ -386,6 +428,56 @@ def test_attack_pgd_deterministic_json(tmp_path, gaussian_csv):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_attack_pgd_divergence_reports_search_failed(tmp_path, capsys):
+    data, model, out = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "a.json"
+    assert run("gen-data", "--family", "gaussian", "--seed", 42, "-o", data) == 0
+    assert run(
+        "train", "--data", data, "--arch", "2,5,1,5,2", "--epochs", 200, "--lr", "1e-2",
+        "--seed", 0, "-o", model,
+    ) == 0
+    code = run(
+        "attack", "--model", model, "--data", data, "--method", "pgd", "--delta", 1,
+        "--steps", 2000, "--restarts", 2, "--step-size", "1e6", "-o", out,
+    )
+    assert code == 0
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["search_failed"] is True
+    assert doc["diagnostics"]["statuses"] == ["diverged", "diverged"]
+
+
+def _overflowing_model():
+    big = 1e200
+    return AutoencoderModel(
+        encoder=[DenseLayer(np.full((2, 1), big), np.zeros(1), "linear")],
+        decoder=[DenseLayer(np.full((1, 2), big), np.zeros(2), "linear")],
+        input_shape=(2,),
+        latent_dim=1,
+    )
+
+
+@pytest.mark.parametrize(
+    "model, argv",
+    [
+        pytest.param("mlp", ["attack", "--method", "pgd", "--delta", "nan"], id="pgd-delta-nan"),
+        pytest.param("mlp", ["audit", "--epsilon", "nan"], id="audit-epsilon-nan"),
+        pytest.param("mlp", ["audit", "--far-threshold", "nan"], id="audit-far-threshold-nan"),
+        pytest.param("overflow", ["attack", "--method", "pgd"], id="attack-overflowing-scores"),
+    ],
+)
+def test_non_finite_number_exit_2(tmp_path, gaussian_csv, capsys, model, argv):
+    path = tmp_path / "model.json"
+    if model == "mlp":
+        save_model(build_mlp_autoencoder([2, 5, 1, 5, 2], seed=2), path)
+    else:
+        save_model(_overflowing_model(), path)
+    if argv[0] == "attack":
+        argv = argv + ["--steps", 5, "--restarts", 2]
+    code = run(*argv, "--model", path, "--data", gaussian_csv, "-o", tmp_path / "out")
+    assert code == 2
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_attack_pgm_export(tmp_path):

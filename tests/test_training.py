@@ -149,6 +149,28 @@ def test_input_gradient_through_preprocessing():
         assert grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
+def test_input_gradient_on_rows_matches_per_row_calls():
+    # a batch takes other BLAS paths than single rows, so rows may differ
+    # from per-row calls by rounding only
+    pre = Preprocessing(mean=np.array([3.0, -1.0]), std=np.array([0.5, 2.0]))
+    cases = [
+        (build_mlp_autoencoder([2, 5, 1, 5, 2], activation="relu", seed=17),
+         Rng(1).normals((6, 2)) * 3.0),
+        (build_mlp_autoencoder([2, 4, 1, 4, 2], activation="sigmoid", seed=4, preprocessing=pre),
+         Rng(2).normals((5, 2)) * 2.0),
+        (build_conv_autoencoder(image_hw=(8, 8), channels=(3, 4), latent_dim=2, seed=5),
+         Rng(6).uniforms(0.0, 1.0, (4, 64))),
+    ]
+    for model, rows in cases:
+        losses, grads = input_gradient(model, rows)
+        assert losses.shape == (rows.shape[0],) and grads.shape == rows.shape
+        for row, loss, grad in zip(rows, losses, grads):
+            single_loss, single_grad = input_gradient(model, row)
+            assert isinstance(single_loss, float) and single_grad.shape == row.shape
+            assert loss == pytest.approx(single_loss, rel=1e-12)
+            assert np.max(np.abs(grad - single_grad)) <= 1e-12 * np.max(np.abs(single_grad))
+
+
 def test_adam_zero_gradient_is_exact_noop():
     model = build_mlp_autoencoder([2, 3, 1, 3, 2], seed=5)
     params = [l.params() for l in model.layers()]
