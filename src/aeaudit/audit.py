@@ -14,7 +14,6 @@ reproduces the coarse nodes bit for bit.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,70 +202,67 @@ def extract_regions(
     A region's min_dist_to_train is the smallest distance from any of its
     cells' coordinates to any training point; contains_training_data is set
     when some training point's nearest grid node belongs to the region.
-    Regions are ordered by their first-visited cell in row-major order.
+    Regions are ordered by their first cell in row-major order. A region's
+    `cells` are in breadth-first order from that cell, visiting neighbours
+    up, down, left, right; the report lists them in this order.
     """
     ny, nx = losses.shape
     below = losses < epsilon
-    labels = -np.ones((ny, nx), dtype=np.int64)
-    regions: list[Region] = []
 
     # map each training point to its nearest grid node
-    occupied: set[tuple[int, int]] = set()
+    occupied = np.zeros((ny, nx), dtype=bool)
     if train_points.shape[0]:
         dx = xs[1] - xs[0] if nx > 1 else 1.0
         dy = ys[1] - ys[0] if ny > 1 else 1.0
         j_idx = np.clip(np.rint((train_points[:, 0] - xs[0]) / dx), 0, nx - 1).astype(int)
         i_idx = np.clip(np.rint((train_points[:, 1] - ys[0]) / dy), 0, ny - 1).astype(int)
-        occupied = set(zip(i_idx.tolist(), j_idx.tolist()))
+        occupied[i_idx, j_idx] = True
+    neg2_train_t = -2.0 * train_points.T
+    train_norms = np.sum(train_points * train_points, axis=1)
 
-    label = 0
-    for i0 in range(ny):
-        for j0 in range(nx):
-            if not below[i0, j0] or labels[i0, j0] >= 0:
-                continue
-            cells: list[tuple[int, int]] = []
-            queue = deque([(i0, j0)])
-            labels[i0, j0] = label
-            while queue:
-                i, j = queue.popleft()
-                cells.append((i, j))
-                for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                    if 0 <= ni < ny and 0 <= nj < nx and below[ni, nj] and labels[ni, nj] < 0:
-                        labels[ni, nj] = label
-                        queue.append((ni, nj))
-            regions.append(_annotate_region(cells, losses, xs, ys, train_points, occupied))
-            label += 1
-    return regions
-
-
-def _annotate_region(
-    cells: list[tuple[int, int]],
-    losses: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    train_points: np.ndarray,
-    occupied: set[tuple[int, int]],
-) -> Region:
-    best = min(cells, key=lambda c: (losses[c[0], c[1]], c))
-    coords = np.array([[xs[j], ys[i]] for i, j in cells])
-    min_dist = float("inf")
-    for lo in range(0, coords.shape[0], 4096):
-        chunk = coords[lo : lo + 4096]
-        d2 = (
-            np.sum(chunk * chunk, axis=1)[:, None]
-            - 2.0 * chunk @ train_points.T
-            + np.sum(train_points * train_points, axis=1)[None, :]
+    # breadth-first search over flat indices of the mask padded by one False
+    # border, so that no neighbour needs a bounds check
+    w = nx + 2
+    padded = np.zeros((ny + 2, w), dtype=bool)
+    padded[1:-1, 1:-1] = below
+    free = bytearray(padded.tobytes())
+    regions: list[Region] = []
+    for k in np.flatnonzero(below).tolist():
+        start = (k // nx + 1) * w + k % nx + 1
+        if not free[start]:
+            continue
+        free[start] = 0
+        queue = [start]
+        for p in queue:  # the list grows while it is walked: a FIFO queue
+            for q in (p - w, p + w, p - 1, p + 1):
+                if free[q]:
+                    free[q] = 0
+                    queue.append(q)
+        flat = np.array(queue)
+        i = flat // w - 1
+        j = flat % w - 1
+        cell_losses = losses[i, j]
+        best = int(np.lexsort((j, i, cell_losses))[0])
+        coords = np.column_stack((xs[j], ys[i]))
+        min_dist = float("inf")
+        for lo in range(0, coords.shape[0], 4096):
+            chunk = coords[lo : lo + 4096]
+            d2 = chunk @ neg2_train_t
+            d2 += np.sum(chunk * chunk, axis=1)[:, None]
+            d2 += train_norms[None, :]
+            min_dist = min(min_dist, float(np.sqrt(max(float(d2.min()), 0.0))))
+        bi, bj = int(i[best]), int(j[best])
+        regions.append(
+            Region(
+                cells=list(zip(i.tolist(), j.tolist())),
+                representative=(bi, bj),
+                representative_point=(float(xs[bj]), float(ys[bi])),
+                representative_loss=float(cell_losses[best]),
+                min_dist_to_train=min_dist,
+                contains_training_data=bool(occupied[i, j].any()),
+            )
         )
-        min_dist = min(min_dist, float(np.sqrt(max(float(d2.min()), 0.0))))
-    contains = any(c in occupied for c in cells)
-    return Region(
-        cells=cells,
-        representative=best,
-        representative_point=(float(xs[best[1]]), float(ys[best[0]])),
-        representative_loss=float(losses[best[0], best[1]]),
-        min_dist_to_train=min_dist,
-        contains_training_data=contains,
-    )
+    return regions
 
 
 def representative_input(grid: AuditGrid, model, region: Region) -> np.ndarray:
@@ -285,16 +281,16 @@ def has_out_of_bounds_region(grid: AuditGrid) -> bool:
 
 
 def write_grid_csv(grid: AuditGrid, path) -> None:
-    """Row-major x,y,loss lines with full-precision decimals."""
+    """Row-major x,y,loss lines with full-precision decimals.
+
+    The file is written one grid row at a time.
+    """
+    xs = [repr(x) for x in grid.xs.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("x,y,loss\n")
-        ny, nx = grid.losses.shape
-        for i in range(ny):
-            for j in range(nx):
-                f.write(
-                    f"{repr(float(grid.xs[j]))},{repr(float(grid.ys[i]))},"
-                    f"{repr(float(grid.losses[i, j]))}\n"
-                )
+        for y, row in zip(grid.ys.tolist(), grid.losses.tolist()):
+            mid = f",{y!r},"
+            f.write("".join([f"{x}{mid}{loss!r}\n" for x, loss in zip(xs, row)]))
 
 
 def audit_report(grid: AuditGrid, model_ref: str = "", seed: int | None = None) -> dict:
@@ -340,48 +336,52 @@ _HIGH_COLOR = (16, 36, 100)
 _LOG_FLOOR = 1e-16
 
 
-def _cell_color(loss: float, lo: float, hi: float, epsilon: float) -> str:
-    if loss < epsilon:
-        return _SUB_EPSILON_COLOR
-    top = np.log10(hi + _LOG_FLOOR)
-    bottom = np.log10(lo + _LOG_FLOOR)
-    t = 0.0 if top == bottom else (np.log10(loss + _LOG_FLOOR) - bottom) / (top - bottom)
-    t = min(max(float(t), 0.0), 1.0)
-    rgb = [round(a + (b - a) * t) for a, b in zip(_LOW_COLOR, _HIGH_COLOR)]
-    return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+def _fill_palette(losses: np.ndarray, epsilon: float) -> tuple[list[str], np.ndarray]:
+    """Palette of fill strings and each cell's index into it.
+
+    Colors interpolate from _LOW_COLOR to _HIGH_COLOR by log10 loss between
+    the grid's minimum and maximum; sub-epsilon cells are _SUB_EPSILON_COLOR.
+    """
+    top = np.log10(float(losses.max()) + _LOG_FLOOR)
+    bottom = np.log10(float(losses.min()) + _LOG_FLOOR)
+    if top == bottom:
+        t = np.zeros(losses.shape)
+    else:
+        t = np.clip((np.log10(losses + _LOG_FLOOR) - bottom) / (top - bottom), 0.0, 1.0)
+    code = np.zeros(losses.shape, dtype=np.int64)
+    for lo, hi in zip(_LOW_COLOR, _HIGH_COLOR):
+        code = (code << 8) | np.rint(lo + (hi - lo) * t).astype(np.int64)
+    code[losses < epsilon] = int(_SUB_EPSILON_COLOR[1:], 16)
+    palette, index = np.unique(code, return_inverse=True)
+    return [f"#{c:06x}" for c in palette.tolist()], index.reshape(losses.shape)
 
 
 def render_heatmap(grid: AuditGrid, path) -> None:
     """SVG heatmap: log-scaled colors, red sub-epsilon cells, data markers.
 
     Output bytes depend only on the grid contents, so identical grids give
-    identical files.
+    identical files. The cells are written one grid row at a time.
     """
     nx, ny = grid.resolution
     cell_px = max(1.0, 600.0 / max(nx, ny))
     width = nx * cell_px
     height = ny * cell_px
-    lo = float(grid.losses.min())
-    hi = float(grid.losses.max())
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>\n',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
-        f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">\n',
-    ]
-    for i in range(ny):
-        y = (ny - 1 - i) * cell_px
-        for j in range(nx):
-            color = _cell_color(float(grid.losses[i, j]), lo, hi, grid.epsilon)
-            parts.append(
-                f'<rect x="{j * cell_px:.2f}" y="{y:.2f}" width="{cell_px:.2f}" '
-                f'height="{cell_px:.2f}" fill="{color}"/>\n'
-            )
-    xmin, xmax, ymin, ymax = grid.bounds
-    for px, py in grid.train_points:
-        cx = (px - xmin) / (xmax - xmin) * width
-        cy = height - (py - ymin) / (ymax - ymin) * height
-        if 0.0 <= cx <= width and 0.0 <= cy <= height:
-            parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="1.5" fill="#000000"/>\n')
-    parts.append("</svg>\n")
+    palette, index = _fill_palette(grid.losses, grid.epsilon)
+    fills = [f'" width="{cell_px:.2f}" height="{cell_px:.2f}" fill="{c}"/>\n' for c in palette]
+    rect_x = [f'<rect x="{j * cell_px:.2f}" y="' for j in range(nx)]
     with open(path, "w", encoding="utf-8") as f:
-        f.write("".join(parts))
+        f.write(
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
+            f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">\n'
+        )
+        for i, row in enumerate(index.tolist()):
+            y = f"{(ny - 1 - i) * cell_px:.2f}"
+            f.write("".join([f"{x}{y}{fills[k]}" for x, k in zip(rect_x, row)]))
+        xmin, xmax, ymin, ymax = grid.bounds
+        for px, py in grid.train_points.tolist():
+            cx = (px - xmin) / (xmax - xmin) * width
+            cy = height - (py - ymin) / (ymax - ymin) * height
+            if 0.0 <= cx <= width and 0.0 <= cy <= height:
+                f.write(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="1.5" fill="#000000"/>\n')
+        f.write("</svg>\n")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -243,6 +244,8 @@ def _baseline_min(path) -> float:
                 raise InputDomainError(
                     f"{path}:{lineno}: baseline row has no numeric 'score' cell"
                 ) from None
+            if not math.isfinite(value):
+                raise InputDomainError(f"{path}:{lineno}: baseline score {value} is not finite")
             best = value if best is None else min(best, value)
     if best is None:
         raise InputDomainError(f"{path}: baseline CSV has no rows")

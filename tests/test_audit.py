@@ -1,11 +1,20 @@
-"""Tests for grid scans, region extraction, and heatmap rendering."""
+"""Tests for grid scans, region extraction, and heatmap rendering.
+
+Region extraction and the two writers are also checked against the
+per-cell formulations they replaced (a deque BFS with per-region
+annotation, and cell-by-cell CSV and SVG writers), kept here as references.
+"""
 
 import xml.etree.ElementTree as ET
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aeaudit.audit import (
+    AuditGrid,
     audit_report,
     extract_regions,
     grid_axis,
@@ -331,8 +340,6 @@ def test_render_heatmap_2x2(tmp_path):
     grid_losses = np.array([[0.01, 1.0], [2.0, 3.0]])
     xs = grid_axis(0.0, 1.0, 2)
     ys = grid_axis(0.0, 1.0, 2)
-    from aeaudit.audit import AuditGrid
-
     grid = AuditGrid(
         space="input2d",
         bounds=(0.0, 1.0, 0.0, 1.0),
@@ -356,3 +363,251 @@ def test_render_heatmap_2x2(tmp_path):
     p2 = tmp_path / "map2.svg"
     render_heatmap(grid, p2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+# --- references: the per-cell region extraction and writers -------------------
+
+
+def reference_extract_regions(losses, xs, ys, epsilon, train_points, far_threshold):
+    ny, nx = losses.shape
+    below = losses < epsilon
+    labels = -np.ones((ny, nx), dtype=np.int64)
+    regions = []
+
+    # map each training point to its nearest grid node
+    occupied = set()
+    if train_points.shape[0]:
+        dx = xs[1] - xs[0] if nx > 1 else 1.0
+        dy = ys[1] - ys[0] if ny > 1 else 1.0
+        j_idx = np.clip(np.rint((train_points[:, 0] - xs[0]) / dx), 0, nx - 1).astype(int)
+        i_idx = np.clip(np.rint((train_points[:, 1] - ys[0]) / dy), 0, ny - 1).astype(int)
+        occupied = set(zip(i_idx.tolist(), j_idx.tolist()))
+
+    label = 0
+    for i0 in range(ny):
+        for j0 in range(nx):
+            if not below[i0, j0] or labels[i0, j0] >= 0:
+                continue
+            cells = []
+            queue = deque([(i0, j0)])
+            labels[i0, j0] = label
+            while queue:
+                i, j = queue.popleft()
+                cells.append((i, j))
+                for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                    if 0 <= ni < ny and 0 <= nj < nx and below[ni, nj] and labels[ni, nj] < 0:
+                        labels[ni, nj] = label
+                        queue.append((ni, nj))
+            regions.append(_reference_annotate_region(cells, losses, xs, ys, train_points, occupied))
+            label += 1
+    return regions
+
+
+def _reference_annotate_region(cells, losses, xs, ys, train_points, occupied):
+    best = min(cells, key=lambda c: (losses[c[0], c[1]], c))
+    coords = np.array([[xs[j], ys[i]] for i, j in cells])
+    min_dist = float("inf")
+    for lo in range(0, coords.shape[0], 4096):
+        chunk = coords[lo : lo + 4096]
+        d2 = (
+            np.sum(chunk * chunk, axis=1)[:, None]
+            - 2.0 * chunk @ train_points.T
+            + np.sum(train_points * train_points, axis=1)[None, :]
+        )
+        min_dist = min(min_dist, float(np.sqrt(max(float(d2.min()), 0.0))))
+    contains = any(c in occupied for c in cells)
+    return dict(
+        cells=cells,
+        representative=best,
+        representative_point=(float(xs[best[1]]), float(ys[best[0]])),
+        representative_loss=float(losses[best[0], best[1]]),
+        min_dist_to_train=min_dist,
+        contains_training_data=contains,
+    )
+
+
+def reference_write_grid_csv(grid, path):
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write("x,y,loss\n")
+        ny, nx = grid.losses.shape
+        for i in range(ny):
+            for j in range(nx):
+                f.write(
+                    f"{repr(float(grid.xs[j]))},{repr(float(grid.ys[i]))},"
+                    f"{repr(float(grid.losses[i, j]))}\n"
+                )
+
+
+_REF_SUB_EPSILON_COLOR = "#ff0000"
+_REF_LOW_COLOR = (255, 255, 204)
+_REF_HIGH_COLOR = (16, 36, 100)
+_REF_LOG_FLOOR = 1e-16
+
+
+def _reference_cell_color(loss, lo, hi, epsilon):
+    if loss < epsilon:
+        return _REF_SUB_EPSILON_COLOR
+    top = np.log10(hi + _REF_LOG_FLOOR)
+    bottom = np.log10(lo + _REF_LOG_FLOOR)
+    t = 0.0 if top == bottom else (np.log10(loss + _REF_LOG_FLOOR) - bottom) / (top - bottom)
+    t = min(max(float(t), 0.0), 1.0)
+    rgb = [round(a + (b - a) * t) for a, b in zip(_REF_LOW_COLOR, _REF_HIGH_COLOR)]
+    return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+
+
+def reference_render_heatmap(grid, path):
+    nx, ny = grid.resolution
+    cell_px = max(1.0, 600.0 / max(nx, ny))
+    width = nx * cell_px
+    height = ny * cell_px
+    lo = float(grid.losses.min())
+    hi = float(grid.losses.max())
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
+        f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">\n',
+    ]
+    for i in range(ny):
+        y = (ny - 1 - i) * cell_px
+        for j in range(nx):
+            color = _reference_cell_color(float(grid.losses[i, j]), lo, hi, grid.epsilon)
+            parts.append(
+                f'<rect x="{j * cell_px:.2f}" y="{y:.2f}" width="{cell_px:.2f}" '
+                f'height="{cell_px:.2f}" fill="{color}"/>\n'
+            )
+    xmin, xmax, ymin, ymax = grid.bounds
+    for px, py in grid.train_points:
+        cx = (px - xmin) / (xmax - xmin) * width
+        cy = height - (py - ymin) / (ymax - ymin) * height
+        if 0.0 <= cx <= width and 0.0 <= cy <= height:
+            parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="1.5" fill="#000000"/>\n')
+    parts.append("</svg>\n")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("".join(parts))
+
+
+def assert_regions_match_reference(losses, xs, ys, epsilon, train_points):
+    ours = extract_regions(losses, xs, ys, epsilon, train_points, 1.0)
+    theirs = reference_extract_regions(losses, xs, ys, epsilon, train_points, 1.0)
+    assert len(ours) == len(theirs)
+    for r, ref in zip(ours, theirs):
+        assert {field: getattr(r, field) for field in ref} == ref
+        assert all(type(v) is int for c in r.cells for v in c)
+        assert type(r.min_dist_to_train) is float
+        assert type(r.contains_training_data) is bool
+    return ours
+
+
+@st.composite
+def masked_grids(draw):
+    """Losses on a 1-12 x 1-12 grid with a drawn share of sub-epsilon cells,
+    plus training points drawn inside and outside the grid's bounds."""
+    ny = draw(st.integers(1, 12))
+    nx = draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    losses = rng.uniform(0.0, 1.0, (ny, nx))
+    losses[rng.uniform(0.0, 1.0, (ny, nx)) < density] *= 0.1
+    # a few exact ties, so that the representative's (i, j) tie-break counts
+    losses[rng.uniform(0.0, 1.0, (ny, nx)) < 0.2] = 0.0
+    xs = np.linspace(-2.0, 3.0, nx) if nx > 1 else np.array([0.5])
+    ys = np.linspace(-1.0, 4.0, ny) if ny > 1 else np.array([1.5])
+    m = draw(st.integers(1, 8))
+    train = rng.uniform(-6.0, 7.0, (m, 2))
+    return losses, xs, ys, train
+
+
+@given(masked_grids())
+def test_extract_regions_matches_reference(case):
+    losses, xs, ys, train = case
+    assert_regions_match_reference(losses, xs, ys, 0.1, train)
+
+
+@pytest.mark.parametrize(
+    "shape, fill",
+    [((6, 9), 0.0), ((6, 9), 1.0), ((1, 40), 0.0), ((40, 1), 0.0)],
+    ids=["all-below", "all-above", "single-row", "single-column"],
+)
+def test_extract_regions_matches_reference_edge_grids(shape, fill):
+    ny, nx = shape
+    losses = np.full(shape, fill)
+    if fill == 0.0:
+        losses[ny // 2, nx // 2] = 0.05  # a unique minimum off the first cell
+    xs = grid_axis(0.0, 1.0, nx) if nx > 1 else np.array([0.0])
+    ys = grid_axis(0.0, 1.0, ny) if ny > 1 else np.array([0.0])
+    train = np.array([[0.2, 0.3], [5.0, -5.0]])
+    regions = assert_regions_match_reference(losses, xs, ys, 0.5, train)
+    assert len(regions) == (0 if fill == 1.0 else 1)
+
+
+def test_extract_regions_matches_reference_checkerboard():
+    n = 60
+    ii, jj = np.indices((n, n))
+    losses = np.where((ii + jj) % 2 == 0, 0.01 + 1e-4 * ii, 1.0)
+    xs = grid_axis(-3.0, 3.0, n)
+    train = np.array([[0.0, 0.0], [2.9, -2.9], [10.0, 10.0]])
+    regions = assert_regions_match_reference(losses, xs, xs, 0.5, train)
+    assert len(regions) == n * n // 2
+    assert sum(r.contains_training_data for r in regions) == 2
+
+
+def _export_grid(losses, epsilon, train_points, bounds=(-1.0, 2.0, -3.0, 0.5)):
+    ny, nx = losses.shape
+    return AuditGrid(
+        space="input2d",
+        bounds=bounds,
+        xs=grid_axis(bounds[0], bounds[1], nx),
+        ys=grid_axis(bounds[2], bounds[3], ny),
+        losses=losses,
+        epsilon=epsilon,
+        far_threshold=1.0,
+        regions=[],
+        train_points=train_points,
+    )
+
+
+def _spanning_losses(shape, seed):
+    rng = np.random.default_rng(seed)
+    return 10.0 ** rng.uniform(-12.0, 6.0, shape)
+
+
+_INSIDE = np.array([[0.1, -1.0], [1.9, 0.4], [-1.0, -3.0]])
+_OUTSIDE = np.array([[-5.0, -1.0], [0.0, 9.0], [2.0000001, 0.0]])
+_WRITER_GRIDS = {
+    "hi-equals-lo": _export_grid(np.full((5, 6), 0.25), 0.1, _INSIDE),
+    # epsilon 0 keeps the zeros out of red, so they take the log floor
+    "exact-zeros": _export_grid(np.where(np.eye(6, 8) > 0, 0.0, 0.5 + np.arange(8.0)), 0.0, _INSIDE),
+    "mixed-span": _export_grid(_spanning_losses((30, 25), 1), 1e-3, _INSIDE),
+    "non-square": _export_grid(_spanning_losses((7, 300), 2), 1e-6, _INSIDE),
+    "points-outside": _export_grid(_spanning_losses((9, 11), 3), 1e-2, np.vstack([_OUTSIDE, _INSIDE])),
+}
+
+
+@pytest.mark.parametrize("name", list(_WRITER_GRIDS))
+def test_writers_match_reference_bytes(tmp_path, name):
+    grid = _WRITER_GRIDS[name]
+    write_grid_csv(grid, tmp_path / "grid.csv")
+    reference_write_grid_csv(grid, tmp_path / "ref.csv")
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    render_heatmap(grid, tmp_path / "map.svg")
+    reference_render_heatmap(grid, tmp_path / "ref.svg")
+    assert (tmp_path / "map.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
+def test_writer_grids_reach_their_branches(tmp_path):
+    def svg(name):
+        render_heatmap(_WRITER_GRIDS[name], tmp_path / f"{name}.svg")
+        return ET.fromstring((tmp_path / f"{name}.svg").read_text())
+
+    def fills(root):
+        return {e.get("fill") for e in root.iter() if e.tag.endswith("rect")}
+
+    def circles(root):
+        return [e for e in root.iter() if e.tag.endswith("circle")]
+
+    assert fills(svg("hi-equals-lo")) == {"#ffffcc"}  # top == bottom: t = 0
+    assert "#ffffcc" in fills(svg("exact-zeros")) and "#ff0000" not in fills(svg("exact-zeros"))
+    assert "#ff0000" in fills(svg("mixed-span")) and len(fills(svg("mixed-span"))) > 50
+    rects = [e for e in svg("non-square").iter() if e.tag.endswith("rect")]
+    assert rects[0].get("width") == "2.00" and len(rects) == 7 * 300
+    assert len(circles(svg("points-outside"))) == len(_INSIDE)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -241,7 +242,7 @@ def test_score_flags_adversary_against_baseline(tmp_path, gaussian_csv, pca_mode
     assert summary["flagged_indices"] == [0]
 
 
-@pytest.mark.parametrize("row", ["0,high", "0"])
+@pytest.mark.parametrize("row", ["0,high", "0", "0,nan", "0,inf", "0,-inf"])
 def test_score_malformed_baseline_exit_2(tmp_path, gaussian_csv, pca_model_file, capsys, row):
     baseline = tmp_path / "baseline.csv"
     baseline.write_text(f"index,score\n0,0.5\n{row}\n")
@@ -250,7 +251,9 @@ def test_score_malformed_baseline_exit_2(tmp_path, gaussian_csv, pca_model_file,
         "--baseline", baseline, "-o", tmp_path / "s.csv",
     )
     assert code == 2
-    assert f"{baseline}:3:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{baseline}:3:" in captured.err
 
 
 def _weight_as_string(doc):
@@ -351,6 +354,34 @@ def test_audit_deterministic_artifacts(tmp_path, gaussian_csv, pca_model_file):
         dirs.append(outdir)
     for name in ("grid.csv", "report.json", "heatmap.svg"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+# sha256 of the audit artifacts below, recorded with numpy 2.4 on OpenBLAS
+# (x86-64), with the model path in report.json replaced by "model.json"
+PINNED_AUDIT_SHA256 = {
+    "grid.csv": "c3f8002466bb87570a036a56041572c4c38ddd6bb183b2412eddf30fc480ca87",
+    "heatmap.svg": "22f5755acf79dfb43255116a0a6f228284b8ed04961ed8359edca355eb483b7a",
+    "report.json": "d5fc8d8d762fa10295042d790eff7c8530fc444582e2e5d854c85c5f86a1e5c9",
+}
+
+
+def test_audit_artifacts_pinned(tmp_path):
+    data, model, outdir = tmp_path / "data.csv", tmp_path / "model.json", tmp_path / "audit"
+    assert run("gen-data", "--family", "gaussian", "--n", 100, "--seed", 42,
+               "--cov", "9,0,0,9", "-o", data) == 0
+    assert run("train", "--data", data, "--arch", "2,5,1,5,2", "--act", "relu", "--epochs", 50,
+               "--batch-size", 32, "--lr", "1e-2", "--seed", 0, "-o", model) == 0
+    code = run("audit", "--model", model, "--data", data, "--resolution", "41,41",
+               "--epsilon", 2, "--seed", 0, "-o", outdir)
+    assert code == 0
+    report = json.loads((outdir / "report.json").read_text())
+    assert [r["cell_count"] for r in report["regions"]] == [7]
+    artifacts = read_bytes_map(outdir / name for name in PINNED_AUDIT_SHA256)
+    artifacts["report.json"] = artifacts["report.json"].replace(
+        json.dumps(str(model)).encode(), b'"model.json"'
+    )
+    digests = {name: hashlib.sha256(b).hexdigest() for name, b in artifacts.items()}
+    assert digests == PINNED_AUDIT_SHA256
 
 
 def test_audit_unsupported_dims_exit_2(tmp_path):
