@@ -170,6 +170,13 @@ class DenseLayer:
         return cls(np.array(cfg["weight"]), np.array(cfg["bias"]), cfg["activation"])
 
 
+def _image_shape(in_shape) -> tuple[int, int, int]:
+    shape = tuple(int(v) for v in in_shape)
+    if len(shape) != 3:
+        raise InputDomainError(f"image in_shape must be (C, H, W), got {list(shape)}")
+    return shape
+
+
 class Conv2dLayer:
     kind = "conv2d"
 
@@ -191,7 +198,7 @@ class Conv2dLayer:
         self.stride = int(stride)
         self.padding = int(padding)
         self.activation = _check_activation(activation)
-        self.in_shape = tuple(int(v) for v in in_shape)
+        self.in_shape = _image_shape(in_shape)
         if self.in_shape[0] != self.weight.shape[1]:
             raise InputDomainError(
                 f"input has {self.in_shape[0]} channels, kernel expects {self.weight.shape[1]}"
@@ -279,7 +286,7 @@ class Upconv2dLayer:
         self.padding = int(padding)
         self.output_padding = int(output_padding)
         self.activation = _check_activation(activation)
-        self.in_shape = tuple(int(v) for v in in_shape)
+        self.in_shape = _image_shape(in_shape)
         if self.in_shape[0] != self.weight.shape[0]:
             raise InputDomainError(
                 f"input has {self.in_shape[0]} channels, kernel expects {self.weight.shape[0]}"

@@ -12,6 +12,7 @@ save/load cycle reproduces bit-identical forward passes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +155,7 @@ class AutoencoderModel:
 
     @property
     def input_dim(self) -> int:
-        return int(np.prod(self.input_shape))
+        return math.prod(self.input_shape)
 
     def layers(self):
         return [*self.encoder, *self.decoder]

@@ -21,9 +21,18 @@ from .datagen import Dataset
 from .errors import InputDomainError, TrainingDivergedError
 from .layers import run_layers
 from .models import AutoencoderModel, as_rows, save_model, write_json
-from .rng import Rng, derive_seed
+from .rng import Rng, derive_seed, permutations
 
 OPTIMIZERS = ("sgd", "adam")
+
+# shuffle orders are drawn for a block of epochs at once. A Fisher-Yates
+# step costs about the same for one stream as for a dozen, so a block holds at
+# least SHUFFLE_BLOCK_EPOCHS epochs (one stream each), and more while it stays
+# under SHUFFLE_BLOCK_INDICES indices; the orders take 8 bytes an index, so
+# memory does not grow with the epoch count and a run that diverges early
+# draws at most one block in vain
+SHUFFLE_BLOCK_EPOCHS = 16
+SHUFFLE_BLOCK_INDICES = 2**15
 
 # TrainConfig field annotation -> accepted runtime types
 _FIELD_TYPES = {
@@ -285,7 +294,10 @@ def train(
     """Train a copy of the model; the input model is left untouched.
 
     Batches are consecutive slices of a per-epoch Fisher-Yates shuffle
-    seeded from (config.seed, epoch), so runs are bit-reproducible.
+    seeded from derive_seed(config.seed, epoch), so runs are
+    bit-reproducible. The shuffles of a block of epochs are drawn together
+    by `rng.permutations`, which gives each epoch the same order as
+    `Rng(derive_seed(config.seed, epoch)).permutation`.
 
     Raises:
         TrainingDivergedError: Loss or parameters became non-finite.
@@ -300,42 +312,47 @@ def train(
         )
     m = x.shape[0]
     opt = _make_optimizer(model, config)
+    block = max(SHUFFLE_BLOCK_EPOCHS, SHUFFLE_BLOCK_INDICES // max(m, 1))
+    # blocks of equal size, so the last one is not left with a few streams
+    block = math.ceil(config.epochs / max(1, math.ceil(config.epochs / block)))
     started = time.perf_counter()
     epoch_losses: list[float] = []
-    for epoch in range(config.epochs):
-        if config.shuffle:
-            order = Rng(derive_seed(config.seed, epoch)).permutation(m)
-            xe = x[order]
-        else:
-            xe = x
-        total = 0.0
-        for lo in range(0, m, config.batch_size):
-            batch = xe[lo : lo + config.batch_size]
-            with np.errstate(over="ignore", invalid="ignore"):
-                # overflow here just means divergence, caught right below
-                # or by the parameter check at the end of the epoch
+    # overflow just means divergence, caught by the loss check after each
+    # batch or by the parameter check at the end of each epoch
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            if config.shuffle:
+                if epoch % block == 0:
+                    epochs = range(epoch, min(epoch + block, config.epochs))
+                    orders = permutations([derive_seed(config.seed, e) for e in epochs], m)
+                xe = x[orders[epoch % block]]
+            else:
+                xe = x
+            total = 0.0
+            for lo in range(0, m, config.batch_size):
+                batch = xe[lo : lo + config.batch_size]
                 loss, grads = backward(model, batch)
                 opt.step(grads)
-            if not np.isfinite(loss):
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss in epoch {epoch}; last good epoch "
+                        f"{epoch - 1}",
+                        last_good_epoch=epoch - 1,
+                    )
+                total += loss * batch.shape[0]
+            if not np.all(np.isfinite(opt.flat)):
                 raise TrainingDivergedError(
-                    f"non-finite loss in epoch {epoch}; last good epoch "
-                    f"{epoch - 1}",
+                    f"non-finite parameter {_first_non_finite(model)} in epoch {epoch}; "
+                    f"last good epoch {epoch - 1}",
                     last_good_epoch=epoch - 1,
                 )
-            total += loss * batch.shape[0]
-        if not np.all(np.isfinite(opt.flat)):
-            raise TrainingDivergedError(
-                f"non-finite parameter {_first_non_finite(model)} in epoch {epoch}; "
-                f"last good epoch {epoch - 1}",
-                last_good_epoch=epoch - 1,
-            )
-        epoch_losses.append(total / m)
-        if (
-            config.checkpoint_interval
-            and config.checkpoint_dir
-            and (epoch + 1) % config.checkpoint_interval == 0
-        ):
-            save_model(model, f"{config.checkpoint_dir}/epoch_{epoch + 1:06d}.json")
+            epoch_losses.append(total / m)
+            if (
+                config.checkpoint_interval
+                and config.checkpoint_dir
+                and (epoch + 1) % config.checkpoint_interval == 0
+            ):
+                save_model(model, f"{config.checkpoint_dir}/epoch_{epoch + 1:06d}.json")
     wall = time.perf_counter() - started
     final = epoch_losses[-1] if epoch_losses else float("nan")
     report = TrainReport(

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from aeaudit.cli import main
-from aeaudit.datagen import load_csv, save_idx
+from aeaudit.datagen import Dataset, load_csv, save_csv, save_idx
 from aeaudit.layers import DenseLayer
 from aeaudit.models import (
     AutoencoderModel,
+    build_conv_autoencoder,
     build_mlp_autoencoder,
     load_model,
     pca_fit,
@@ -282,6 +283,26 @@ def test_score_malformed_model_document_exit_2(tmp_path, gaussian_csv, capsys, c
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "part, index, in_shape",
+    [("encoder", 0, [1]), ("encoder", 0, []), ("encoder", 0, [1, 2]), ("decoder", 2, [])],
+)
+def test_score_conv_in_shape_not_three_entries_exit_2(tmp_path, capsys, part, index, in_shape):
+    path = tmp_path / "conv.json"
+    save_model(build_conv_autoencoder(image_hw=(8, 8), channels=(2, 3), latent_dim=2, seed=4), path)
+    doc = json.loads(path.read_text())
+    assert doc[part][index]["kind"] in ("conv2d", "upconv2d")
+    doc[part][index]["in_shape"] = in_shape
+    path.write_text(json.dumps(doc))
+    data = tmp_path / "pixels.csv"
+    save_csv(Dataset(x=Rng(3).uniforms(0.0, 1.0, (5, 64))), data)
+    code = run("score", "--model", path, "--data", data, "-o", tmp_path / "s.csv")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "in_shape must be (C, H, W)" in err
+    assert "internal error" not in err
+
+
 def test_score_empty_dataset_exit_2(tmp_path, pca_model_file):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -384,12 +405,45 @@ def test_audit_artifacts_pinned(tmp_path):
     assert digests == PINNED_AUDIT_SHA256
 
 
+# model.json and train.json of a 200-epoch [2,5,1,5,2] ReLU train on
+# `gen-data --family gaussian --n 100 --cov 9,0,0,9 --seed 11`
+PINNED_TRAIN_SHA256 = {
+    "adam": (
+        "454a37afdd2c7d4fe21696f03f3a4f69acc627816e984054b3e13cdacab89466",
+        "ca24df4c560334e3057143d68c4c984b109438571563db69d64351352ea0b3a9",
+    ),
+    "sgd": (
+        "8b249b5a1bf50eb3c3c8deb5ee1627ccac547ea0f92060abdfa05ae27cd02963",
+        "c7568cec0a284e08f2a63adb1e62285db0271465cef19af621f74501d588e6bd",
+    ),
+    "no-shuffle": (
+        "0d98320b7231f38ab8964c55ad6f21df910008b448b45d7df268d9309c1511c9",
+        "e22eb41ff3f17f006a2d12104cdd9fc992c0fed149ba192ba1fd2ffbf58cb6fe",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, config", [("adam", None), ("sgd", {"optimizer": "sgd"}), ("no-shuffle", {"shuffle": False})]
+)
+def test_train_artifacts_pinned(tmp_path, case, config):
+    data, model, report = tmp_path / "data.csv", tmp_path / "model.json", tmp_path / "train.json"
+    assert run("gen-data", "--family", "gaussian", "--n", 100, "--cov", "9,0,0,9", "--seed", 11,
+               "-o", data) == 0
+    extra = []
+    if config is not None:
+        extra = ["--config", tmp_path / "config.json"]
+        extra[1].write_text(json.dumps(config))
+    assert run("train", "--data", data, "--arch", "2,5,1,5,2", "--act", "relu", "--epochs", 200,
+               *extra, "-o", model, "--report", report) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (model, report))
+    assert digests == PINNED_TRAIN_SHA256[case]
+
+
 def test_audit_unsupported_dims_exit_2(tmp_path):
     rng = Rng(13)
     x = rng.normals((20, 5))
     csv_path = tmp_path / "d5.csv"
-    from aeaudit.datagen import Dataset, save_csv
-
     save_csv(Dataset(x=x), csv_path)
     model_path = tmp_path / "pca5.json"
     save_model(pca_fit(x, d=3), model_path)

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from aeaudit.rng import Rng, derive_seed, splitmix64
+from aeaudit import rng as rng_module
+from aeaudit.errors import InputDomainError
+from aeaudit.rng import Rng, _multiply_high, derive_seed, permutations, splitmix64
 
 # Frozen against the public-domain C reference implementations
 # (compiled and run separately; first five outputs per seed).
@@ -111,6 +113,75 @@ def test_permutation_is_a_permutation():
     assert sorted(p.tolist()) == list(range(50))
     # different seeds give different orders
     assert not np.array_equal(p, Rng(4).permutation(50))
+
+
+def _reference_permutation(rng, n):
+    """The scalar Fisher-Yates loop that `Rng.permutation` replaced."""
+    idx = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+PERMUTATION_MASTERS = [0, 987654321, -1, 2**64 - 1, 2**64 + 5]
+PERMUTATION_LENGTHS = [1, 2, 3, 100, 1000]
+
+
+@pytest.mark.parametrize("master", PERMUTATION_MASTERS)
+@pytest.mark.parametrize("n", PERMUTATION_LENGTHS)
+@pytest.mark.parametrize("streams", [1, 3, 2000])
+def test_permutations_match_scalar_reference(master, n, streams):
+    seeds = [derive_seed(master, k) for k in range(streams)]
+    got = permutations(seeds, n)
+    assert got.shape == (streams, n) and got.dtype == np.arange(n).dtype
+    # the scalar loop costs about 2.5 us a draw: above 200k draws check
+    # evenly spaced rows only (still 100 of them)
+    stride = max(1, streams * n // 100_000)
+    for e in range(0, streams, stride):
+        assert got[e].tobytes() == _reference_permutation(Rng(seeds[e]), n).tobytes()
+
+
+@pytest.mark.parametrize("chunk_draws", [1, 7, 600])
+def test_permutations_drawn_in_chunks_match_scalar_reference(monkeypatch, chunk_draws):
+    # 3 streams of 250: chunks of 1 position (1 draw), 2 positions (7 draws)
+    # and 200 positions (600 draws, the last chunk partial); the state
+    # carries over between chunks
+    monkeypatch.setattr(rng_module, "_CHUNK_DRAWS", chunk_draws)
+    seeds = [derive_seed(5, k) for k in range(3)]
+    got = permutations(seeds, 250)
+    for e, seed in enumerate(seeds):
+        assert got[e].tobytes() == _reference_permutation(Rng(seed), 250).tobytes()
+    rng, ref = Rng(seeds[0]), Rng(seeds[0])
+    assert rng.permutation(250).tobytes() == _reference_permutation(ref, 250).tobytes()
+    assert rng.next_uint64() == ref.next_uint64()
+
+
+@pytest.mark.parametrize("master", PERMUTATION_MASTERS)
+@pytest.mark.parametrize("n", [0, *PERMUTATION_LENGTHS])
+def test_permutation_advances_state_like_scalar_loop(master, n):
+    seed = derive_seed(master, 7)
+    rng, ref = Rng(seed), Rng(seed)
+    assert rng.permutation(n).tobytes() == _reference_permutation(ref, n).tobytes()
+    assert [rng.next_uint64() for _ in range(3)] == [ref.next_uint64() for _ in range(3)]
+
+
+def test_multiply_high_matches_python_integers():
+    draws = Rng(21)
+    us = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, *(draws.next_uint64() for _ in range(5))]
+    ns = [1, 2, 3, 2**31, 2**32 - 1]
+    u = np.array(us, dtype=np.uint64).reshape(-1, 1)
+    n = np.array(ns, dtype=np.uint64).reshape(1, -1)
+    got = _multiply_high(u, n)
+    assert got.tolist() == [[(a * b) >> 64 for b in ns] for a in us]
+
+
+@pytest.mark.parametrize("n", [2**32, 2**40, -1])
+def test_permutation_rejects_length_outside_32_bits(n):
+    with pytest.raises(InputDomainError):
+        Rng(0).permutation(n)
+    with pytest.raises(InputDomainError):
+        permutations([1, 2], n)
 
 
 def test_derive_seed_is_splitmix_stream():

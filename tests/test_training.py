@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from aeaudit import training
 from aeaudit.datagen import Dataset, SyntheticSpec, generate
 from aeaudit.errors import InputDomainError, TrainingDivergedError
 from aeaudit.layers import DenseLayer
@@ -15,6 +16,7 @@ from aeaudit.models import (
     build_mlp_autoencoder,
     forward_batch,
     pca_fit,
+    save_model,
 )
 from aeaudit.rng import Rng
 from aeaudit.training import (
@@ -255,6 +257,24 @@ def test_train_deterministic_same_seed():
     # different shuffle seed changes the trajectory
     _, r3 = train(model, ds, TrainConfig(epochs=20, batch_size=8, learning_rate=1e-3, seed=10))
     assert r3.epoch_losses != r1.epoch_losses
+
+
+@pytest.mark.parametrize("block_epochs, block_indices", [(1, 250), (1, 50), (8, 50)])
+def test_train_shuffle_blocks_give_the_same_model(tmp_path, monkeypatch, block_epochs, block_indices):
+    # 100 rows: (1, 250) makes 2-epoch blocks (the last of 201 epochs a
+    # partial one), (1, 50) 1-epoch blocks, and (8, 50) 8-epoch blocks, the
+    # floor taking over from an index cap below one epoch
+    ds = generate(SyntheticSpec(family="gaussian", samples_per_component=100, seed=11))
+    model = build_mlp_autoencoder([2, 5, 1, 5, 2], activation="relu", seed=0)
+    cfg = TrainConfig(epochs=201, batch_size=32, learning_rate=1e-2, seed=3)
+    default, default_report = train(model, ds, cfg)
+    monkeypatch.setattr(training, "SHUFFLE_BLOCK_EPOCHS", block_epochs)
+    monkeypatch.setattr(training, "SHUFFLE_BLOCK_INDICES", block_indices)
+    blocked, blocked_report = train(model, ds, cfg)
+    save_model(default, tmp_path / "default.json")
+    save_model(blocked, tmp_path / "blocked.json")
+    assert (tmp_path / "default.json").read_bytes() == (tmp_path / "blocked.json").read_bytes()
+    assert default_report.epoch_losses == blocked_report.epoch_losses
 
 
 def test_train_leaves_input_model_untouched():
