@@ -83,8 +83,9 @@ def _measured(model, xm: np.ndarray, a: np.ndarray, delta: float, method: str, *
 
 
 def _require_delta(delta: float) -> None:
-    if not (delta > 0 and math.isfinite(delta)):
-        raise InputDomainError(f"delta must be finite and > 0, got {delta}")
+    # PGD's push-off squares delta, so the square must stay finite too
+    if not (delta > 0 and math.isfinite(delta * delta)):
+        raise InputDomainError(f"delta must be > 0 with a finite square, got {delta}")
 
 
 def _latent_walk(model, xm: np.ndarray, delta: float, direction, method: str):
@@ -318,32 +319,60 @@ def latent_decode_adversary(model: AutoencoderModel, z, x_train) -> AdversaryRes
     return _measured(model, xm, decode_batch(model, zv), 0.0, "latent_decode", latent_point=zv)
 
 
-def _push_off(xm: np.ndarray, a: np.ndarray, delta: float) -> np.ndarray:
-    """Push a radially off its nearest training row, when that row is within
-    delta, to the first point of the ray that is farther than delta from
-    every training row."""
-    near_idx, near_dist = numlin.nearest_row(xm, a)
-    if near_dist > delta:
-        return a
-    direction = a - xm[near_idx]
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0:  # a sits on the row; any ray leads out
-        direction, norm = np.eye(a.shape[0])[0], 1.0
-    # The ray xm[near_idx] + t * u is within delta of row k for t in
-    # [lo_k, hi_k] = b_k -/+ sqrt(s_k). Move t past the intervals that
-    # cover it until none does, each time just outside so that the
-    # recomputed distance clears delta.
-    w = xm - xm[near_idx]
-    b = w @ (direction / norm)
-    s = b * b - np.sum(w * w, axis=1) + delta * delta
-    hit = s >= 0.0
-    lo, hi = b[hit] - np.sqrt(s[hit]), b[hit] + np.sqrt(s[hit])
-    t = delta * (1.0 + 1e-9)
-    covering = (lo <= t) & (hi >= t)
-    while covering.any():
-        t = float(hi[covering].max()) * (1.0 + 1e-9)
-        covering = (lo <= t) & (hi >= t)
-    return xm[near_idx] + t * direction / norm
+def _push_off(xm: np.ndarray, rows: np.ndarray, delta: float) -> np.ndarray:
+    """A copy of rows in which each row within delta of its nearest training
+    row is pushed radially off that row, to the first point of the ray that
+    is farther than delta from every training row.
+
+    The rows to push walk their rays together, a chunk of rows at a time
+    (`numlin.row_chunks`); each comes out with the bits of a walk alone.
+    """
+    near_idx, near_dist = numlin.nearest_row(xm, rows)
+    out = rows.copy()
+    push = np.flatnonzero(near_dist <= delta)
+    for c in numlin.row_chunks(push.size, xm.size):
+        k = push[c]
+        base = xm[near_idx[k]]
+        direction = rows[k] - base
+        # sqrt(dot(d, d)) per row, the bits of np.linalg.norm(d)
+        norm = np.sqrt(np.matmul(direction[:, None, :], direction[:, :, None])[:, 0, 0])
+        on_row = norm == 0.0  # such a row sits on a training row; any ray leads out
+        if on_row.any():
+            direction[on_row] = 0.0
+            direction[on_row, 0] = 1.0
+            norm[on_row] = 1.0
+        t = _ray_exit(xm, base, direction / norm[:, None], delta)
+        out[k] = base + t[:, None] * direction / norm[:, None]
+    return out
+
+
+def _ray_exit(xm: np.ndarray, base: np.ndarray, u: np.ndarray, delta: float) -> np.ndarray:
+    """For each ray base + t * u (unit u), the first t past delta at which
+    the ray is farther than delta from every training row.
+
+    The ray is within delta of row j for t in [lo_j, hi_j] = b_j -/+
+    sqrt(s_j), and nowhere when s_j < 0 (lo_j and hi_j are then NaN and
+    compare false). t moves past the intervals that cover it until none
+    does, each time just outside so that the recomputed distance clears
+    delta. The (k, m, n) scratch is freed on return.
+    """
+    w = xm - base[:, None, :]
+    b = np.matmul(w, u[:, :, None])[:, :, 0]
+    s = b * b - (w * w).sum(axis=2) + delta * delta
+    with np.errstate(invalid="ignore"):
+        root = np.sqrt(s)
+    lo, hi = b - root, b + root
+    t0 = delta * (1.0 + 1e-9)
+    t = np.full(base.shape[0], t0)
+    moving = np.arange(base.shape[0])
+    covering = (lo <= t0) & (hi >= t0)
+    while True:
+        still = covering.any(axis=1)
+        moving, covering = moving[still], covering[still]
+        if not moving.size:
+            return t
+        t[moving] = np.where(covering, hi[moving], -np.inf).max(axis=1) * (1.0 + 1e-9)
+        covering = (lo[moving] <= t[moving, None]) & (hi[moving] >= t[moving, None])
 
 
 def pgd_adversary(
@@ -359,10 +388,12 @@ def pgd_adversary(
 
     Each restart starts uniformly inside the training bounding box inflated
     to twice its extent. All restarts step as one batch down the gradient of
-    the self-reconstruction loss; after every step each is pushed radially
-    off its nearest training row until no row is within delta (see
-    `_push_off`). A restart whose step turns non-finite stops at its last
-    finite point with status "diverged".
+    the self-reconstruction loss; after every step the restarts within
+    delta of their nearest training row are pushed radially off it until no
+    row is within delta, all in one pass (`_push_off`). A restart whose step
+    turns non-finite stops at its last finite point with status "diverged".
+    delta must be positive with a finite square, since the push-off squares
+    it.
 
     The best restart by (independently re-evaluated) loss wins among those
     that did not diverge and lie farther than delta from every training row
@@ -400,13 +431,13 @@ def pgd_adversary(
             stepped = a[idx] - step_size * grad
             finite = np.all(np.isfinite(stepped), axis=1)
             live[idx[~finite]] = False
-            for i, row in zip(idx[finite], stepped[finite]):
-                a[i] = _push_off(xm, row, delta)
+            if finite.any():
+                a[idx[finite]] = _push_off(xm, stepped[finite], delta)
     statuses = ["ok" if ok else "diverged" for ok in live]
 
     with np.errstate(over="ignore", invalid="ignore"):
         losses = sample_scores(model, a)
-        dists = np.array([numlin.pairwise_min_distance(xm, row) for row in a])
+        dists = numlin.pairwise_min_distance(xm, a)
     losses[~(live & np.isfinite(losses))] = np.inf
     feasible = np.isfinite(losses) & (dists > delta)
     if not feasible.any():

@@ -282,13 +282,22 @@ def save_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -
         f.write(labels.tobytes())
 
 
+def _csv_records(f, path):
+    """The records of an open CSV file; a record the csv module cannot
+    parse (a cell over `csv.field_size_limit()`, say) is a FormatError."""
+    reader = csv.reader(f)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FormatError(f"{path}: unreadable CSV in row {reader.line_num}: {exc}") from None
+
+
 def load_csv(path, has_header: bool = False, role: str = "train") -> Dataset:
     """Read a rectangular numeric CSV ('.' decimal point, UTF-8)."""
     names: list[str] | None = None
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        for lineno, record in enumerate(reader, start=1):
+        for lineno, record in enumerate(_csv_records(f, path), start=1):
             if not record:
                 continue
             if has_header and names is None and not rows:

@@ -34,7 +34,7 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 
 
 def require_finite(a: np.ndarray, name: str = "array") -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InputDomainError(f"{name} contains NaN or Inf entries")
 
 
@@ -127,19 +127,57 @@ def principal_angles(a, b) -> np.ndarray:
     return np.arccos(cos)  # sigma descending -> angles ascending
 
 
-def pairwise_min_distance(x, a) -> float:
-    """Euclidean distance from vector a to the nearest row of x."""
+# Element budget of the (rows, m, n) scratch arrays that a scan of many
+# query rows against m training rows of width n forms one chunk of rows at
+# a time. A chunk holds at least one row, so scratch stays within the
+# larger of this budget and one row's m x n.
+SCRATCH_ELEMENTS = 1 << 16
+
+
+def row_chunks(k: int, per_row: int) -> list[slice]:
+    """Slices splitting k rows into chunks of at most SCRATCH_ELEMENTS //
+    per_row rows each (at least one)."""
+    step = max(1, SCRATCH_ELEMENTS // per_row)
+    return [slice(i, min(i + step, k)) for i in range(0, k, step)]
+
+
+def pairwise_min_distance(x, a):
+    """Euclidean distance from a to the nearest row of x (see nearest_row)."""
     return nearest_row(x, a)[1]
 
 
-def nearest_row(x, a) -> tuple[int, float]:
-    """Index of the closest row of x to a, with the distance."""
+def nearest_row(x, a):
+    """Index of the closest row of x to a, with the distance.
+
+    a is one vector, giving (int, float), or a (k, n) array of rows, giving
+    k indices and k distances. Each row's result has the bits a one-vector
+    call gives; the rows are scanned a chunk at a time (`row_chunks`).
+    """
     xm = as_matrix(x, "data matrix")
-    av = as_vector(a, "query vector")
-    if av.shape[0] != xm.shape[1]:
+    q = np.asarray(a, dtype=np.float64)
+    single = q.ndim == 1
+    if single:
+        q = q[None, :]
+    if q.ndim != 2:
+        raise InputDomainError(f"query must be a vector or rows, got shape {q.shape}")
+    require_finite(q, "query vector" if single else "query rows")
+    if q.shape[1] != xm.shape[1]:
         raise InputDomainError(
-            f"query has length {av.shape[0]}, rows have length {xm.shape[1]}"
+            f"query has length {q.shape[1]}, rows have length {xm.shape[1]}"
         )
-    d2 = np.sum((xm - av) ** 2, axis=1)
-    i = int(np.argmin(d2))
-    return i, float(np.sqrt(d2[i]))
+    idx = np.empty(q.shape[0], dtype=np.intp)
+    d2 = np.empty(q.shape[0])
+    for c in row_chunks(q.shape[0], xm.size):
+        idx[c], d2[c] = _nearest_squared(xm, q[c])
+    dist = np.sqrt(d2)
+    if single:
+        return int(idx[0]), float(dist[0])
+    return idx, dist
+
+
+def _nearest_squared(xm: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the closest row of xm to each row of q, and the squared
+    distance; the (k, m, n) scratch is freed on return."""
+    d2 = ((xm - q[:, None, :]) ** 2).sum(axis=2)
+    i = d2.argmin(axis=1)
+    return i, d2[np.arange(q.shape[0]), i]

@@ -4,9 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from aeaudit import numlin
 from aeaudit.adversary import (
     AdversaryResult,
+    _push_off,
     bias_decomposition_residual,
     build_linear_autoencoder,
     build_relu_toy,
@@ -80,8 +84,9 @@ def test_pca_adversary_rejects_bad_delta():
     rng = Rng(4)
     x = rng.normals((10, 3))
     model = pca_fit(x, d=1)
-    with pytest.raises(InputDomainError):
-        construct_pca_adversary(model, x, delta=0.0)
+    for delta in (0.0, 1e200):  # 1e200 is finite, its square is not
+        with pytest.raises(InputDomainError):
+            construct_pca_adversary(model, x, delta=delta)
 
 
 def test_pca_adversary_custom_direction():
@@ -319,6 +324,103 @@ def test_latent_decode_validates_latent_length():
 
 
 # --- PGD ----------------------------------------------------------------------
+
+
+def push_off_reference(xm, a, delta):
+    """The push-off of one row at a time, as PGD ran it before the rows of
+    a step were pushed together."""
+    near_idx, near_dist = numlin.nearest_row(xm, a)
+    if near_dist > delta:
+        return a
+    direction = a - xm[near_idx]
+    norm = float(np.linalg.norm(direction))
+    if norm == 0.0:
+        direction, norm = np.eye(a.shape[0])[0], 1.0
+    w = xm - xm[near_idx]
+    b = w @ (direction / norm)
+    s = b * b - np.sum(w * w, axis=1) + delta * delta
+    hit = s >= 0.0
+    lo, hi = b[hit] - np.sqrt(s[hit]), b[hit] + np.sqrt(s[hit])
+    t = delta * (1.0 + 1e-9)
+    covering = (lo <= t) & (hi >= t)
+    while covering.any():
+        t = float(hi[covering].max()) * (1.0 + 1e-9)
+        covering = (lo <= t) & (hi >= t)
+    return xm[near_idx] + t * direction / norm
+
+
+def push_off_rows(rng, m, n, k, delta):
+    """m training rows of width n, the first two closer than 2 * delta, and
+    k rows cycling through four kinds: on a training row, in the corner
+    between the first two training rows, farther than delta from every
+    training row, and drawn at random."""
+    xm = rng.standard_normal((m, n)) * rng.uniform(0.2, 4.0)
+    if m > 1:
+        u = rng.standard_normal(n)
+        xm[1] = xm[0] + rng.uniform(0.5, 1.9) * delta * u / np.linalg.norm(u)
+    rows = rng.standard_normal((k, n)) * 4.0
+    rows[0::4] = xm[rng.integers(m, size=len(rows[0::4]))]
+    rows[1::4] = (xm[0] + xm[min(1, m - 1)]) / 2.0 + 1e-3 * delta * rng.standard_normal(n)
+    rows[2::4] = xm.max(axis=0) + 2.0 * delta
+    return xm, rows
+
+
+def check_push_off(xm, rows, delta):
+    got = _push_off(xm, rows, delta)
+    want = np.array([push_off_reference(xm, row, delta) for row in rows])
+    assert got.tobytes() == want.tobytes()
+    assert np.all(pairwise_min_distance(xm, got) > delta)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@given(m=st.integers(1, 12), k=st.integers(1, 12), delta=st.floats(0.05, 5.0),
+       budget=st.sampled_from([None, 1, 25, 70]), seed=st.integers(0, 2**32 - 1))
+def test_push_off_matches_one_row_reference(n, m, k, delta, budget, seed):
+    xm, rows = push_off_rows(np.random.default_rng(seed), m, n, k, delta)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:  # chunks of one or a few rows
+            mp.setattr(numlin, "SCRATCH_ELEMENTS", budget)
+        check_push_off(xm, rows, delta)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 3])
+def test_push_off_matches_one_row_reference_on_wide_rows(monkeypatch, chunk_rows):
+    xm, rows = push_off_rows(np.random.default_rng(784), 40, 784, 9, 4.0)
+    if chunk_rows is not None:
+        monkeypatch.setattr(numlin, "SCRATCH_ELEMENTS", chunk_rows * xm.size)
+    check_push_off(xm, rows, 4.0)
+
+
+def test_push_off_scratch_stays_within_one_row_plus_budget():
+    # the rows are pushed one chunk at a time, so the scratch memory of a
+    # batch stays within that of one row plus the chunk budget
+    import tracemalloc
+
+    xm, rows = push_off_rows(np.random.default_rng(3), 2000, 784, 6, 8.0)
+    assert np.sum(pairwise_min_distance(xm, rows) <= 8.0) == 4  # four one-row chunks
+
+    def scratch(push):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            push()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    one_row = scratch(lambda: push_off_reference(xm, rows[1], 8.0))
+    batch = scratch(lambda: _push_off(xm, rows, 8.0))
+    assert one_row > 2 * xm.nbytes  # the reference walked its ray
+    assert batch <= one_row + 8 * numlin.SCRATCH_ELEMENTS
+
+
+def test_pgd_rejects_delta_whose_square_overflows():
+    # unchecked, the overflowing square makes the push-off's ray walk
+    # endless; steps=0 keeps a regression from hanging
+    ds = generate(SyntheticSpec(family="gaussian", samples_per_component=20, seed=18))
+    model = build_mlp_autoencoder([2, 5, 1, 5, 2], activation="relu", seed=5)
+    with pytest.raises(InputDomainError, match="finite square"):
+        pgd_adversary(model, ds.x, delta=1e200, steps=0)
 
 
 def test_pgd_on_converged_linear_ae_matches_analytic_quality(converged_linear_ae):

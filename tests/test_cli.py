@@ -303,6 +303,16 @@ def test_score_conv_in_shape_not_three_entries_exit_2(tmp_path, capsys, part, in
     assert "internal error" not in err
 
 
+def test_score_cell_over_csv_field_limit_exit_2(tmp_path, pca_model_file, capsys):
+    data = tmp_path / "long-cell.csv"
+    data.write_text("1,2\n3," + "4" * 140_000 + "\n")
+    code = run("score", "--model", pca_model_file, "--data", data, "-o", tmp_path / "s.csv")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{data}: unreadable CSV in row 2" in err
+    assert "internal error" not in err
+
+
 def test_score_empty_dataset_exit_2(tmp_path, pca_model_file):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -440,6 +450,30 @@ def test_train_artifacts_pinned(tmp_path, case, config):
     assert digests == PINNED_TRAIN_SHA256[case]
 
 
+# pgd.json of `attack --method pgd --delta 2 --steps 100 --restarts 4 --seed 11`
+# against the Adam model of PINNED_TRAIN_SHA256, recorded before the
+# push-off was batched: at the default step size the push-off moves at
+# least one restart on each of the 100 steps (262 pushes), and at
+# --step-size 1e6 every restart diverges
+PINNED_PGD_SHA256 = {
+    "1e-2": "fa97ecaf79110a2b2fe6eb90240a794286ba4467be0b56bf1d3c9cd539e57b61",
+    "1e6": "2e1fcefe98f0ec99d3c1988908e48a3c00fe26a8d0d546415e97451832bd7628",
+}
+
+
+@pytest.mark.parametrize("step_size", PINNED_PGD_SHA256)
+def test_attack_pgd_artifacts_pinned(tmp_path, step_size):
+    data, model, out = tmp_path / "data.csv", tmp_path / "model.json", tmp_path / "pgd.json"
+    assert run("gen-data", "--family", "gaussian", "--n", 100, "--cov", "9,0,0,9", "--seed", 11,
+               "-o", data) == 0
+    assert run("train", "--data", data, "--arch", "2,5,1,5,2", "--act", "relu", "--epochs", 200,
+               "-o", model) == 0
+    assert run("attack", "--model", model, "--data", data, "--method", "pgd", "--delta", 2,
+               "--steps", 100, "--restarts", 4, "--seed", 11, "--step-size", step_size,
+               "-o", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_PGD_SHA256[step_size]
+
+
 def test_audit_unsupported_dims_exit_2(tmp_path):
     rng = Rng(13)
     x = rng.normals((20, 5))
@@ -531,6 +565,23 @@ def test_attack_pgd_divergence_reports_search_failed(tmp_path, capsys):
     json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert doc["search_failed"] is True
     assert doc["diagnostics"]["statuses"] == ["diverged", "diverged"]
+
+
+@pytest.mark.parametrize("method", ["pgd", "analytic"])
+def test_attack_delta_square_overflows_exit_2(tmp_path, gaussian_csv, pca_model_file, capsys,
+                                              method):
+    # 1e200 is finite, but its square is not: unchecked, the push-off's
+    # ray walk never ends, so --steps 0 keeps a regression from hanging
+    model = pca_model_file
+    if method == "pgd":
+        model = tmp_path / "mlp.json"
+        save_model(build_mlp_autoencoder([2, 5, 1, 5, 2], seed=2), model)
+    code = run("attack", "--model", model, "--data", gaussian_csv, "--method", method,
+               "--delta", "1e200", "--steps", 0, "--restarts", 1, "-o", tmp_path / "adv.json")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "delta must be > 0 with a finite square" in err
+    assert not (tmp_path / "adv.json").exists()
 
 
 def _overflowing_model():

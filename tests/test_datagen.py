@@ -232,6 +232,10 @@ def test_csv_errors_name_row(tmp_path):
         infinite.write_text(f"1,2\n3,4\n5,{cell}\n")
         with pytest.raises(FormatError, match="non-finite value in row 3"):
             load_csv(infinite)
+    long_cell = tmp_path / "long-cell.csv"
+    long_cell.write_text("1,2\n3,4\n5," + "6" * 140_000 + "\n")  # over csv.field_size_limit()
+    with pytest.raises(FormatError, match="unreadable CSV in row 3"):
+        load_csv(long_cell)
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(FormatError, match="no data rows"):

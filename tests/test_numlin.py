@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from aeaudit import numlin
 from aeaudit.errors import DegenerateBasisError, InputDomainError
 from aeaudit.numlin import (
     SvdResult,
@@ -235,3 +238,51 @@ def test_pairwise_min_distance_matches_exhaustive_scan():
 def test_pairwise_min_distance_dimension_mismatch():
     with pytest.raises(InputDomainError):
         pairwise_min_distance(np.ones((3, 2)), [1.0, 2.0, 3.0])
+
+
+def check_nearest_rows(x, a, idx, dist):
+    """idx and dist have the bits of one-vector calls and of the one-vector
+    scan np.sum((x - row) ** 2, axis=1)."""
+    one = [nearest_row(x, row) for row in a]
+    assert all(isinstance(i, int) and isinstance(d, float) for i, d in one)
+    assert idx.tolist() == [i for i, _ in one]
+    assert dist.tobytes() == np.array([d for _, d in one], dtype=np.float64).tobytes()
+    scans = [np.sum((x - row) ** 2, axis=1) for row in a]
+    assert idx.tolist() == [int(np.argmin(d2)) for d2 in scans]
+    assert dist.tobytes() == np.sqrt(np.array([d2.min() for d2 in scans])).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+@given(m=st.integers(1, 20), k=st.integers(0, 12), budget=st.sampled_from([None, 1, 7, 60]),
+       seed=st.integers(0, 2**32 - 1))
+def test_nearest_row_on_rows_matches_one_vector_calls(n, m, k, budget, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, n))
+    x[-1] = x[0]  # a tie between two rows goes to the lower index
+    a = rng.standard_normal((k, n))
+    a[::3] = x[rng.integers(m, size=len(a[::3]))]  # queries on a row
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:  # chunks of one or a few rows
+            mp.setattr(numlin, "SCRATCH_ELEMENTS", budget)
+        idx, dist = nearest_row(x, a)
+    check_nearest_rows(x, a, idx, dist)
+
+
+def test_nearest_row_on_wide_rows_matches_one_vector_calls(monkeypatch):
+    rng = np.random.default_rng(784)
+    x = rng.uniform(0.0, 1.0, (30, 784))
+    a = rng.uniform(0.0, 1.0, (7, 784))
+    a[2] = x[5]
+    monkeypatch.setattr(numlin, "SCRATCH_ELEMENTS", 2 * x.size)  # chunks of two rows
+    idx, dist = nearest_row(x, a)
+    check_nearest_rows(x, a, idx, dist)
+
+
+def test_nearest_row_rejects_bad_queries():
+    x = np.ones((3, 2))
+    with pytest.raises(InputDomainError, match="vector or rows"):
+        nearest_row(x, np.ones((2, 2, 2)))
+    with pytest.raises(InputDomainError, match="query has length 3"):
+        nearest_row(x, np.ones((4, 3)))
+    with pytest.raises(InputDomainError, match="NaN or Inf"):
+        nearest_row(x, [[0.0, 1.0], [np.nan, 0.0]])
