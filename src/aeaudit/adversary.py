@@ -154,7 +154,8 @@ def linear_encoder_matrix(model: AutoencoderModel) -> np.ndarray:
     for layer in model.encoder:
         if not isinstance(layer, DenseLayer) or layer.activation != "linear":
             raise InputDomainError(
-                "analytic linear construction needs an all-linear dense encoder"
+                "analytic attacks need a PCA model or an all-linear autoencoder; "
+                "this encoder has a non-linear or non-dense layer"
             )
         w = layer.weight if w is None else w @ layer.weight
     if w is None:
@@ -186,7 +187,8 @@ def construct_linear_ae_adversary(
     for layer in model.decoder:
         if not isinstance(layer, DenseLayer) or layer.activation != "linear":
             raise InputDomainError(
-                "analytic linear construction needs an all-linear dense decoder"
+                "analytic attacks need a PCA model or an all-linear autoencoder; "
+                "this decoder has a non-linear or non-dense layer"
             )
     d = model.latent_dim
     pca = pca_fit(xm, d)

@@ -13,7 +13,6 @@ byte-identical across repeated runs. Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -29,7 +28,7 @@ from .adversary import (
     pgd_adversary,
     write_pgm,
 )
-from .anomaly import is_undetected, score, table_summary, write_score_csv
+from .anomaly import CONVENTIONS, is_undetected, score, table_summary, write_score_csv
 from .audit import (
     render_heatmap,
     scan_input_space,
@@ -38,6 +37,7 @@ from .audit import (
     write_grid_csv,
 )
 from .datagen import (
+    FAMILIES,
     Dataset,
     SyntheticSpec,
     generate,
@@ -47,6 +47,7 @@ from .datagen import (
     standardization_stats,
 )
 from .errors import AeauditError, InputDomainError
+from .layers import ACTIVATIONS
 from .models import (
     AutoencoderModel,
     PcaModel,
@@ -57,7 +58,7 @@ from .models import (
     save_model,
     write_json,
 )
-from .training import TrainConfig, train, write_train_report
+from .training import OPTIMIZERS, TrainConfig, train, write_train_report
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -133,7 +134,8 @@ def cmd_gen_data(args) -> int:
 # --- train ----------------------------------------------------------------------
 
 
-def _train_config(args) -> TrainConfig:
+def _train_config(args, num_samples: int) -> TrainConfig:
+    """Flags, then the --config overrides, then --full-batch, which wins."""
     overrides = {}
     if args.config:
         with open(args.config, encoding="utf-8") as f:
@@ -146,11 +148,12 @@ def _train_config(args) -> TrainConfig:
         learning_rate=args.lr,
         optimizer=args.optimizer,
         seed=args.seed,
-        shuffle=not args.full_batch,
         checkpoint_interval=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
     )
     cfg.update(overrides)
+    if args.full_batch:
+        cfg.update(batch_size=num_samples, shuffle=False)
     return TrainConfig.from_json_dict(cfg)
 
 
@@ -186,11 +189,7 @@ def cmd_train(args) -> int:
             args.arch, activation=args.act, seed=args.seed, preprocessing=preprocessing
         )
 
-    cfg = _train_config(args)
-    if args.full_batch:
-        cfg = TrainConfig.from_json_dict(
-            {**dataclasses.asdict(cfg), "batch_size": dataset.num_samples, "shuffle": False}
-        )
+    cfg = _train_config(args, dataset.num_samples)
     if cfg.checkpoint_dir:
         Path(cfg.checkpoint_dir).mkdir(parents=True, exist_ok=True)
     trained, report = train(model, dataset, cfg)
@@ -311,12 +310,7 @@ def cmd_attack(args) -> int:
         if isinstance(model, PcaModel):
             result = construct_pca_adversary(model, dataset.x, delta=args.delta)
         else:
-            try:
-                result = construct_linear_ae_adversary(model, dataset.x, delta=args.delta)
-            except InputDomainError as exc:
-                raise InputDomainError(
-                    f"analytic attacks need a PCA model or an all-linear autoencoder: {exc}"
-                ) from None
+            result = construct_linear_ae_adversary(model, dataset.x, delta=args.delta)
     elif args.method == "latent":
         if args.z is None:
             raise InputDomainError("--method latent needs --z")
@@ -364,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
-    g.add_argument("--family", required=True, choices=["gaussian", "double_gaussian", "banana", "diagonal"])
+    g.add_argument("--family", required=True, choices=FAMILIES)
     g.add_argument("--n", type=int, default=100, help="samples per component")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--mean", type=_float_list, action="append", help="component mean, e.g. 0,0")
@@ -379,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", help="training CSV")
     t.add_argument("--has-header", action="store_true")
     t.add_argument("--arch", type=_int_list, help="layer sizes, e.g. 2,5,1,5,2")
-    t.add_argument("--act", default="relu", choices=["relu", "sigmoid", "linear"])
+    t.add_argument("--act", default="relu", choices=ACTIVATIONS)
     t.add_argument("--preset", help="mnist-conv2")
     t.add_argument("--mnist-images", help="IDX image file for the preset")
     t.add_argument("--mnist-labels", help="IDX label file for the preset")
@@ -390,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--epochs", type=int, default=2000)
     t.add_argument("--batch-size", type=int, default=32)
     t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--optimizer", default="adam", choices=["adam", "sgd"])
+    t.add_argument("--optimizer", default="adam", choices=OPTIMIZERS)
     t.add_argument("--full-batch", action="store_true")
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--checkpoint-every", type=int, default=0)
@@ -404,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", required=True)
     s.add_argument("--data", required=True)
     s.add_argument("--has-header", action="store_true")
-    s.add_argument("--convention", default="mean", choices=["mean", "sum"])
+    s.add_argument("--convention", default="mean", choices=CONVENTIONS)
     s.add_argument("--baseline", help="train-score CSV; flags rows at or below its minimum")
     s.add_argument("-o", "--output", required=True, help="score CSV path")
     s.set_defaults(func=cmd_score)

@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import InputDomainError
 
-ACTIVATIONS = ("linear", "relu", "sigmoid")
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
@@ -29,24 +27,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def act_forward(tag: str, z: np.ndarray) -> np.ndarray:
-    if tag == "linear":
-        return z
-    if tag == "relu":
-        return np.maximum(z, 0.0)
-    if tag == "sigmoid":
-        return _sigmoid(z)
-    raise InputDomainError(f"unknown activation {tag!r}")
-
-
-def act_backward(tag: str, dy: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if tag == "linear":
-        return dy
-    if tag == "relu":
-        return dy * (z > 0.0)
-    if tag == "sigmoid":
-        return dy * y * (1.0 - y)
-    raise InputDomainError(f"unknown activation {tag!r}")
+# (forward(z), backward(dy, z, y)) of each activation, by name
+ACTIVATION_FNS = {
+    "linear": (lambda z: z, lambda dy, z, y: dy),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda dy, z, y: dy * (z > 0.0)),
+    "sigmoid": (_sigmoid, lambda dy, z, y: dy * y * (1.0 - y)),
+}
+ACTIVATIONS = tuple(ACTIVATION_FNS)
 
 
 def _check_activation(tag: str) -> str:
@@ -121,8 +108,41 @@ def run_layers(layers, x: np.ndarray, caches: list | None = None) -> np.ndarray:
     return x
 
 
-class DenseLayer:
+def _as_json(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
+class Layer:
+    """The rule every layer kind follows.
+
+    PARAMS names the layer's parameter tensors and FIELDS its constructor
+    arguments in call order. A config is `kind` plus every field, with
+    arrays and tuples written as lists, and builds the layer back by name.
+    """
+
+    kind: str
+    PARAMS: tuple[str, ...] = ()
+    FIELDS: tuple[str, ...]
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in self.PARAMS}
+
+    def to_config(self) -> dict:
+        return {"kind": self.kind, **{f: _as_json(getattr(self, f)) for f in self.FIELDS}}
+
+    @classmethod
+    def from_config(cls, cfg: dict):
+        return cls(**{f: cfg[f] for f in cls.FIELDS})
+
+
+class DenseLayer(Layer):
     kind = "dense"
+    PARAMS = ("weight", "bias")
+    FIELDS = ("weight", "bias", "activation")
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, activation: str) -> None:
         self.weight = np.asarray(weight, dtype=np.float64)
@@ -144,30 +164,15 @@ class DenseLayer:
 
     def forward(self, x: np.ndarray):
         z = x @ self.weight + self.bias
-        y = act_forward(self.activation, z)
+        y = ACTIVATION_FNS[self.activation][0](z)
         return y, (x, z, y)
 
     def backward(self, dy: np.ndarray, cache):
         x, z, y = cache
-        dz = act_backward(self.activation, dy, z, y)
+        dz = ACTIVATION_FNS[self.activation][1](dy, z, y)
         dx = dz @ self.weight.T
         grads = {"weight": x.T @ dz, "bias": dz.sum(axis=0)}
         return dx, grads
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias}
-
-    def to_config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "activation": self.activation,
-            "weight": self.weight.tolist(),
-            "bias": self.bias.tolist(),
-        }
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "DenseLayer":
-        return cls(np.array(cfg["weight"]), np.array(cfg["bias"]), cfg["activation"])
 
 
 def _image_shape(in_shape) -> tuple[int, int, int]:
@@ -177,8 +182,47 @@ def _image_shape(in_shape) -> tuple[int, int, int]:
     return shape
 
 
-class Conv2dLayer:
+class _KernelLayer(Layer):
+    """Checks shared by the convolution kinds.
+
+    The weight is (., ., k, k) in the LAYOUT its kind names, with the input
+    channels on axis IN_AXIS and the output channels on the other one.
+    NAME starts the kind's error messages.
+    """
+
+    PARAMS = ("weight", "bias")
+    NAME: str
+    LAYOUT: str
+    IN_AXIS: int
+
+    def __init__(self, weight, bias, stride, padding, activation, in_shape) -> None:
+        self.weight = np.asarray(weight, dtype=np.float64)
+        self.bias = np.asarray(bias, dtype=np.float64)
+        if self.weight.ndim != 4 or self.weight.shape[2] != self.weight.shape[3]:
+            raise InputDomainError(
+                f"{self.NAME} weight must be {self.LAYOUT}, got {self.weight.shape}"
+            )
+        if self.bias.shape != (self.weight.shape[1 - self.IN_AXIS],):
+            raise InputDomainError(f"{self.NAME} bias must have one entry per output channel")
+        self.stride = int(stride)
+        self.padding = int(padding)
+        self.activation = _check_activation(activation)
+        self.in_shape = _image_shape(in_shape)
+        channels = self.weight.shape[self.IN_AXIS]
+        if self.in_shape[0] != channels:
+            raise InputDomainError(
+                f"input has {self.in_shape[0]} channels, kernel expects {channels}"
+            )
+
+    @property
+    def kernel(self) -> int:
+        return self.weight.shape[2]
+
+
+class Conv2dLayer(_KernelLayer):
     kind = "conv2d"
+    NAME, LAYOUT, IN_AXIS = "conv", "(Co, Ci, k, k)", 1
+    FIELDS = ("weight", "bias", "stride", "padding", "activation", "in_shape")
 
     def __init__(
         self,
@@ -189,27 +233,9 @@ class Conv2dLayer:
         activation: str,
         in_shape: tuple[int, int, int],
     ) -> None:
-        self.weight = np.asarray(weight, dtype=np.float64)  # (Co, Ci, k, k)
-        self.bias = np.asarray(bias, dtype=np.float64)
-        if self.weight.ndim != 4 or self.weight.shape[2] != self.weight.shape[3]:
-            raise InputDomainError(f"conv weight must be (Co, Ci, k, k), got {self.weight.shape}")
-        if self.bias.shape != (self.weight.shape[0],):
-            raise InputDomainError("conv bias must have one entry per output channel")
-        self.stride = int(stride)
-        self.padding = int(padding)
-        self.activation = _check_activation(activation)
-        self.in_shape = _image_shape(in_shape)
-        if self.in_shape[0] != self.weight.shape[1]:
-            raise InputDomainError(
-                f"input has {self.in_shape[0]} channels, kernel expects {self.weight.shape[1]}"
-            )
-        kernel = self.weight.shape[2]
-        ho, wo = conv_output_hw(self.in_shape[1], self.in_shape[2], kernel, stride, padding)
+        super().__init__(weight, bias, stride, padding, activation, in_shape)
+        ho, wo = conv_output_hw(self.in_shape[1], self.in_shape[2], self.kernel, stride, padding)
         self.out_shape = (self.weight.shape[0], ho, wo)
-
-    @property
-    def kernel(self) -> int:
-        return self.weight.shape[2]
 
     def forward(self, x: np.ndarray):
         b = x.shape[0]
@@ -220,14 +246,14 @@ class Conv2dLayer:
         wmat = self.weight.reshape(co, -1)
         z = (wmat @ cols) + self.bias[:, None]
         z = z.reshape(b, co, ho, wo)
-        y = act_forward(self.activation, z)
+        y = ACTIVATION_FNS[self.activation][0](z)
         return y, (cols, z, y)
 
     def backward(self, dy: np.ndarray, cache):
         cols, z, y = cache
         b = dy.shape[0]
         co = self.out_shape[0]
-        dz = act_backward(self.activation, dy, z, y).reshape(b, co, -1)
+        dz = ACTIVATION_FNS[self.activation][1](dy, z, y).reshape(b, co, -1)
         wmat = self.weight.reshape(co, -1)
         dwmat = np.tensordot(dz, cols, axes=([0, 2], [0, 2]))
         db = dz.sum(axis=(0, 2))
@@ -235,34 +261,11 @@ class Conv2dLayer:
         dx = col2im(dcols, (b, *self.in_shape), self.kernel, self.stride, self.padding)
         return dx, {"weight": dwmat.reshape(self.weight.shape), "bias": db}
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias}
 
-    def to_config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "activation": self.activation,
-            "stride": self.stride,
-            "padding": self.padding,
-            "in_shape": list(self.in_shape),
-            "weight": self.weight.tolist(),
-            "bias": self.bias.tolist(),
-        }
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "Conv2dLayer":
-        return cls(
-            np.array(cfg["weight"]),
-            np.array(cfg["bias"]),
-            cfg["stride"],
-            cfg["padding"],
-            cfg["activation"],
-            tuple(cfg["in_shape"]),
-        )
-
-
-class Upconv2dLayer:
+class Upconv2dLayer(_KernelLayer):
     kind = "upconv2d"
+    NAME, LAYOUT, IN_AXIS = "upconv", "(Ci, Co, k, k)", 0
+    FIELDS = ("weight", "bias", "stride", "padding", "output_padding", "activation", "in_shape")
 
     def __init__(
         self,
@@ -274,36 +277,16 @@ class Upconv2dLayer:
         activation: str,
         in_shape: tuple[int, int, int],
     ) -> None:
-        self.weight = np.asarray(weight, dtype=np.float64)  # (Ci, Co, k, k)
-        self.bias = np.asarray(bias, dtype=np.float64)
-        if self.weight.ndim != 4 or self.weight.shape[2] != self.weight.shape[3]:
-            raise InputDomainError(
-                f"upconv weight must be (Ci, Co, k, k), got {self.weight.shape}"
-            )
-        if self.bias.shape != (self.weight.shape[1],):
-            raise InputDomainError("upconv bias must have one entry per output channel")
-        self.stride = int(stride)
-        self.padding = int(padding)
+        super().__init__(weight, bias, stride, padding, activation, in_shape)
         self.output_padding = int(output_padding)
-        self.activation = _check_activation(activation)
-        self.in_shape = _image_shape(in_shape)
-        if self.in_shape[0] != self.weight.shape[0]:
-            raise InputDomainError(
-                f"input has {self.in_shape[0]} channels, kernel expects {self.weight.shape[0]}"
-            )
-        kernel = self.weight.shape[2]
         ho, wo = upconv_output_hw(
-            self.in_shape[1], self.in_shape[2], kernel, stride, padding, output_padding
+            self.in_shape[1], self.in_shape[2], self.kernel, stride, padding, output_padding
         )
         self.out_shape = (self.weight.shape[1], ho, wo)
         # the adjoint relation requires conv(out) to land back on the input grid
-        back = conv_output_hw(ho, wo, kernel, stride, padding)
+        back = conv_output_hw(ho, wo, self.kernel, stride, padding)
         if back != (self.in_shape[1], self.in_shape[2]):
             raise InputDomainError("transposed conv geometry is not the adjoint of a conv")
-
-    @property
-    def kernel(self) -> int:
-        return self.weight.shape[2]
 
     def forward(self, x: np.ndarray):
         b = x.shape[0]
@@ -315,14 +298,14 @@ class Upconv2dLayer:
         cols = wmat.T @ x_mat
         z = col2im(cols, (b, *self.out_shape), self.kernel, self.stride, self.padding)
         z = z + self.bias[None, :, None, None]
-        y = act_forward(self.activation, z)
+        y = ACTIVATION_FNS[self.activation][0](z)
         return y, (x_mat, z, y)
 
     def backward(self, dy: np.ndarray, cache):
         x_mat, z, y = cache
         b = dy.shape[0]
         ci = self.in_shape[0]
-        dz = act_backward(self.activation, dy, z, y)
+        dz = ACTIVATION_FNS[self.activation][1](dy, z, y)
         db = dz.sum(axis=(0, 2, 3))
         dcols = im2col(dz, self.kernel, self.stride, self.padding)  # (B, Co*k*k, H*W)
         wmat = self.weight.reshape(ci, -1)
@@ -330,37 +313,10 @@ class Upconv2dLayer:
         dx = (wmat @ dcols).reshape(b, *self.in_shape)
         return dx, {"weight": dwmat.reshape(self.weight.shape), "bias": db}
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias}
 
-    def to_config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "activation": self.activation,
-            "stride": self.stride,
-            "padding": self.padding,
-            "output_padding": self.output_padding,
-            "in_shape": list(self.in_shape),
-            "weight": self.weight.tolist(),
-            "bias": self.bias.tolist(),
-        }
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "Upconv2dLayer":
-        return cls(
-            np.array(cfg["weight"]),
-            np.array(cfg["bias"]),
-            cfg["stride"],
-            cfg["padding"],
-            cfg["output_padding"],
-            cfg["activation"],
-            tuple(cfg["in_shape"]),
-        )
-
-
-class FlattenLayer:
+class FlattenLayer(Layer):
     kind = "flatten"
-    activation = "linear"
+    FIELDS = ("in_shape",)
 
     def __init__(self, in_shape: tuple[int, int, int]) -> None:
         self.in_shape = tuple(int(v) for v in in_shape)
@@ -374,20 +330,10 @@ class FlattenLayer:
     def backward(self, dy: np.ndarray, cache):
         return dy.reshape(dy.shape[0], *self.in_shape), {}
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {}
 
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "in_shape": list(self.in_shape)}
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "FlattenLayer":
-        return cls(tuple(cfg["in_shape"]))
-
-
-class ReshapeLayer:
+class ReshapeLayer(Layer):
     kind = "reshape"
-    activation = "linear"
+    FIELDS = ("out_shape",)
 
     def __init__(self, out_shape: tuple[int, int, int]) -> None:
         self.out_shape = tuple(int(v) for v in out_shape)
@@ -400,16 +346,6 @@ class ReshapeLayer:
 
     def backward(self, dy: np.ndarray, cache):
         return dy.reshape(dy.shape[0], -1), {}
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "out_shape": list(self.out_shape)}
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "ReshapeLayer":
-        return cls(tuple(cfg["out_shape"]))
 
 
 LAYER_KINDS = {

@@ -269,17 +269,60 @@ def _latent_dim_as_string(doc):
     doc["latent_dim"] = "x"
 
 
-@pytest.mark.parametrize("corrupt", [_weight_as_string, _ragged_weight, _latent_dim_as_string])
+# the layer-field cases below return the message they give instead of
+# "malformed model document": an invariant check of the layer rejects them
+
+
+def _weight_as_none(doc):
+    doc["encoder"][0]["weight"] = None
+    return "dense layer expects weight (in, out) and bias (out,), got () and (3,)"
+
+
+def _bias_missing(doc):
+    del doc["decoder"][0]["bias"]
+
+
+def _as_conv_model(doc):
+    model = build_conv_autoencoder(image_hw=(8, 8), channels=(2, 3), latent_dim=2, seed=4)
+    doc["input_shape"] = list(model.input_shape)
+    doc["latent_dim"] = model.latent_dim
+    doc["encoder"] = [layer.to_config() for layer in model.encoder]
+    doc["decoder"] = [layer.to_config() for layer in model.decoder]
+    return doc
+
+
+def _conv_stride_as_string(doc):
+    _as_conv_model(doc)["encoder"][0]["stride"] = "two"
+
+
+def _conv_flatten_in_shape_as_none(doc):
+    encoder = _as_conv_model(doc)["encoder"]
+    assert encoder[2]["kind"] == "flatten"
+    encoder[2]["in_shape"] = None
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _weight_as_string,
+        _ragged_weight,
+        _latent_dim_as_string,
+        _weight_as_none,
+        _bias_missing,
+        _conv_stride_as_string,
+        _conv_flatten_in_shape_as_none,
+    ],
+)
 def test_score_malformed_model_document_exit_2(tmp_path, gaussian_csv, capsys, corrupt):
     path = tmp_path / "model.json"
     save_model(build_mlp_autoencoder([2, 3, 1, 3, 2], seed=4), path)
     doc = json.loads(path.read_text())
-    corrupt(doc)
+    message = corrupt(doc)
     path.write_text(json.dumps(doc))
     code = run("score", "--model", path, "--data", gaussian_csv, "-o", tmp_path / "s.csv")
     assert code == 2
     err = capsys.readouterr().err
-    assert f"{path}: malformed model document" in err
+    assert (message or f"{path}: malformed model document") in err
     assert "internal error" not in err
 
 
@@ -450,6 +493,28 @@ def test_train_artifacts_pinned(tmp_path, case, config):
     assert digests == PINNED_TRAIN_SHA256[case]
 
 
+# model.json of the PINNED_TRAIN_SHA256 train with --full-batch: one 100-row
+# batch a step, in file order; a --config batch_size or shuffle does not
+# override the flag
+PINNED_FULL_BATCH_SHA256 = "6908484a593f0f31417289b64adc3e13586eb29bc18af4b89f0d9003006aba19"
+
+
+@pytest.mark.parametrize(
+    "config", [None, {"batch_size": 16, "shuffle": True}], ids=["flag-only", "config-overridden"]
+)
+def test_train_full_batch_pinned(tmp_path, config):
+    data, model = tmp_path / "data.csv", tmp_path / "model.json"
+    assert run("gen-data", "--family", "gaussian", "--n", 100, "--cov", "9,0,0,9", "--seed", 11,
+               "-o", data) == 0
+    extra = []
+    if config is not None:
+        extra = ["--config", tmp_path / "config.json"]
+        extra[1].write_text(json.dumps(config))
+    assert run("train", "--data", data, "--arch", "2,5,1,5,2", "--act", "relu", "--epochs", 200,
+               "--full-batch", *extra, "-o", model) == 0
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == PINNED_FULL_BATCH_SHA256
+
+
 # pgd.json of `attack --method pgd --delta 2 --steps 100 --restarts 4 --seed 11`
 # against the Adam model of PINNED_TRAIN_SHA256, recorded before the
 # push-off was batched: at the default step size the push-off moves at
@@ -513,6 +578,28 @@ def test_attack_analytic_on_nonlinear_model_exit_2(tmp_path, gaussian_csv):
         "--method", "analytic", "--delta", 10, "-o", tmp_path / "r.json",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "activation, delta, message",
+    [
+        ("linear", "1e200", "delta must be > 0 with a finite square, got 1e+200"),
+        ("linear", "nan", "delta must be > 0 with a finite square, got nan"),
+        ("relu", "10", "analytic attacks need a PCA model or an all-linear autoencoder"),
+    ],
+    ids=["linear-delta-overflows", "linear-delta-nan", "relu"],
+)
+def test_attack_analytic_error_names_its_cause(tmp_path, gaussian_csv, capsys, activation, delta,
+                                               message):
+    model_path = tmp_path / "ae.json"
+    save_model(build_mlp_autoencoder([2, 1, 2], activation=activation, seed=0), model_path)
+    code = run("attack", "--model", model_path, "--data", gaussian_csv, "--method", "analytic",
+               "--delta", delta, "-o", tmp_path / "adv.json")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    if activation == "linear":
+        assert "PCA model" not in err
 
 
 def test_attack_latent_method(tmp_path, gaussian_csv):
