@@ -9,29 +9,44 @@ back with col2im (a bincount over the same patch indices), so every
 contraction is a BLAS matmul or tensordot. The transposed convolution is
 implemented as the exact adjoint of a strided convolution, which is what
 makes the finite-difference gradient checks pass to 1e-6.
+
+Conv forward passes run the batch in sample chunks (`numlin.row_chunks`,
+within its SCRATCH_ELEMENTS budget) written into one preallocated output,
+so their patches and scatter index stay cache-sized whatever the batch.
+numpy's stacked matmul runs one GEMM per sample and the scatter never mixes
+samples, so a chunk gives the bits the whole batch gives. Dense layers stay
+whole-batch: a GEMM's bits can depend on its row count.
+
+Every layer caches its input and output; conv2d's backward rebuilds the
+patches from the input. An activation's forward may overwrite its argument
+(bias and activation are applied in place on a fresh pre-activation), and
+its backward needs only the output.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import InputDomainError
+from .numlin import row_chunks
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, so exp never overflows;
+    # -|z| is taken as min(z, -z), which keeps a NaN's sign bit
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
-# (forward(z), backward(dy, z, y)) of each activation, by name
+# (forward(z), backward(dy, y)) of each activation, by name; forward may
+# overwrite z, and backward needs only the output y (relu's y > 0 is z > 0)
 ACTIVATION_FNS = {
-    "linear": (lambda z: z, lambda dy, z, y: dy),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda dy, z, y: dy * (z > 0.0)),
-    "sigmoid": (_sigmoid, lambda dy, z, y: dy * y * (1.0 - y)),
+    "linear": (lambda z: z, lambda dy, y: dy),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda dy, y: dy * (y > 0.0)),
+    "sigmoid": (_sigmoid, lambda dy, y: dy * y * (1.0 - y)),
 }
 ACTIVATIONS = tuple(ACTIVATION_FNS)
 
@@ -82,6 +97,15 @@ def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kernel * kernel, ho * wo)
 
 
+@functools.lru_cache(maxsize=64)
+def _patch_index(c: int, hp: int, wp: int, kernel: int, stride: int) -> np.ndarray:
+    """Flat index into one padded (C, Hp, Wp) image of each im2col entry:
+    where each patch entry came from. Read-only, built once per geometry."""
+    flat = im2col(np.arange(c * hp * wp).reshape(1, c, hp, wp), kernel, stride, 0).ravel()
+    flat.flags.writeable = False
+    return flat
+
+
 def col2im(
     cols: np.ndarray, out_shape: tuple[int, int, int, int], kernel: int, stride: int, padding: int
 ) -> np.ndarray:
@@ -89,8 +113,7 @@ def col2im(
     b, c, h, w = out_shape
     hp, wp = h + 2 * padding, w + 2 * padding
     size = c * hp * wp
-    # im2col of the padded image's flat indices: where each patch entry came from
-    flat = im2col(np.arange(size).reshape(1, c, hp, wp), kernel, stride, 0).ravel()
+    flat = _patch_index(c, hp, wp, kernel, stride)
     idx = (np.arange(b)[:, None] * size + flat[None, :]).ravel()
     summed = np.bincount(idx, weights=cols.reshape(b, -1).ravel(), minlength=b * size)
     xp = summed.reshape(b, c, hp, wp)
@@ -163,13 +186,14 @@ class DenseLayer(Layer):
         return self.weight.shape[1]
 
     def forward(self, x: np.ndarray):
-        z = x @ self.weight + self.bias
+        z = x @ self.weight
+        z += self.bias
         y = ACTIVATION_FNS[self.activation][0](z)
-        return y, (x, z, y)
+        return y, (x, y)
 
     def backward(self, dy: np.ndarray, cache):
-        x, z, y = cache
-        dz = ACTIVATION_FNS[self.activation][1](dy, z, y)
+        x, y = cache
+        dz = ACTIVATION_FNS[self.activation][1](dy, y)
         dx = dz @ self.weight.T
         grads = {"weight": x.T @ dz, "bias": dz.sum(axis=0)}
         return dx, grads
@@ -206,6 +230,10 @@ class _KernelLayer(Layer):
             raise InputDomainError(f"{self.NAME} bias must have one entry per output channel")
         self.stride = int(stride)
         self.padding = int(padding)
+        if self.stride < 1:
+            raise InputDomainError(f"{self.NAME} stride must be >= 1, got {self.stride}")
+        if self.padding < 0:
+            raise InputDomainError(f"{self.NAME} padding must be >= 0, got {self.padding}")
         self.activation = _check_activation(activation)
         self.in_shape = _image_shape(in_shape)
         channels = self.weight.shape[self.IN_AXIS]
@@ -242,18 +270,22 @@ class Conv2dLayer(_KernelLayer):
         if x.shape[1:] != self.in_shape:
             raise InputDomainError(f"conv input shape {x.shape[1:]} != {self.in_shape}")
         co, ho, wo = self.out_shape
-        cols = im2col(x, self.kernel, self.stride, self.padding)
         wmat = self.weight.reshape(co, -1)
-        z = (wmat @ cols) + self.bias[:, None]
-        z = z.reshape(b, co, ho, wo)
-        y = ACTIVATION_FNS[self.activation][0](z)
-        return y, (cols, z, y)
+        act = ACTIVATION_FNS[self.activation][0]
+        y = np.empty((b, co, ho * wo))
+        for c in row_chunks(b, wmat.shape[1] * ho * wo):
+            z = np.matmul(wmat, im2col(x[c], self.kernel, self.stride, self.padding), out=y[c])
+            z += self.bias[:, None]
+            y[c] = act(z)
+        y = y.reshape(b, co, ho, wo)
+        return y, (x, y)
 
     def backward(self, dy: np.ndarray, cache):
-        cols, z, y = cache
+        x, y = cache
         b = dy.shape[0]
         co = self.out_shape[0]
-        dz = ACTIVATION_FNS[self.activation][1](dy, z, y).reshape(b, co, -1)
+        dz = ACTIVATION_FNS[self.activation][1](dy, y).reshape(b, co, -1)
+        cols = im2col(x, self.kernel, self.stride, self.padding)
         wmat = self.weight.reshape(co, -1)
         dwmat = np.tensordot(dz, cols, axes=([0, 2], [0, 2]))
         db = dz.sum(axis=(0, 2))
@@ -292,20 +324,23 @@ class Upconv2dLayer(_KernelLayer):
         b = x.shape[0]
         if x.shape[1:] != self.in_shape:
             raise InputDomainError(f"upconv input shape {x.shape[1:]} != {self.in_shape}")
-        ci = self.in_shape[0]
-        x_mat = x.reshape(b, ci, -1)
+        ci, h, w = self.in_shape
         wmat = self.weight.reshape(ci, -1)  # (Ci, Co*k*k)
-        cols = wmat.T @ x_mat
-        z = col2im(cols, (b, *self.out_shape), self.kernel, self.stride, self.padding)
-        z = z + self.bias[None, :, None, None]
-        y = ACTIVATION_FNS[self.activation][0](z)
-        return y, (x_mat, z, y)
+        act = ACTIVATION_FNS[self.activation][0]
+        y = np.empty((b, *self.out_shape))
+        for c in row_chunks(b, wmat.shape[1] * h * w):
+            cols = wmat.T @ x[c].reshape(-1, ci, h * w)
+            z = col2im(cols, y[c].shape, self.kernel, self.stride, self.padding)
+            z += self.bias[None, :, None, None]
+            y[c] = act(z)
+        return y, (x, y)
 
     def backward(self, dy: np.ndarray, cache):
-        x_mat, z, y = cache
+        x, y = cache
         b = dy.shape[0]
         ci = self.in_shape[0]
-        dz = ACTIVATION_FNS[self.activation][1](dy, z, y)
+        x_mat = x.reshape(b, ci, -1)
+        dz = ACTIVATION_FNS[self.activation][1](dy, y)
         db = dz.sum(axis=(0, 2, 3))
         dcols = im2col(dz, self.kernel, self.stride, self.padding)  # (B, Co*k*k, H*W)
         wmat = self.weight.reshape(ci, -1)
@@ -358,6 +393,8 @@ LAYER_KINDS = {
 
 
 def layer_from_config(cfg: dict):
+    if not isinstance(cfg, dict):
+        raise TypeError(f"layer config must be a JSON object, got {type(cfg).__name__}")
     kind = cfg.get("kind")
     if kind not in LAYER_KINDS:
         raise InputDomainError(f"unknown layer kind {kind!r}")

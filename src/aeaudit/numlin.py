@@ -127,10 +127,11 @@ def principal_angles(a, b) -> np.ndarray:
     return np.arccos(cos)  # sigma descending -> angles ascending
 
 
-# Element budget of the (rows, m, n) scratch arrays that a scan of many
-# query rows against m training rows of width n forms one chunk of rows at
-# a time. A chunk holds at least one row, so scratch stays within the
-# larger of this budget and one row's m x n.
+# Element budget of the scratch arrays formed one chunk of rows at a time:
+# the (rows, m, n) arrays of a scan of many query rows against m training
+# rows of width n, and the patches of a conv layer's forward pass. A chunk
+# holds at least one row, so scratch stays within the larger of this budget
+# and one row's share.
 SCRATCH_ELEMENTS = 1 << 16
 
 

@@ -301,6 +301,29 @@ def _conv_flatten_in_shape_as_none(doc):
     encoder[2]["in_shape"] = None
 
 
+def _encoder_layer_as_list(doc):
+    doc["encoder"][0] = [1, 2]
+
+
+def _decoder_layer_as_null(doc):
+    doc["decoder"][1] = None
+
+
+def _conv_stride_zero(doc):
+    _as_conv_model(doc)["encoder"][0]["stride"] = 0
+    return "conv stride must be >= 1, got 0"
+
+
+def _upconv_stride_negative(doc):
+    _as_conv_model(doc)["decoder"][2]["stride"] = -2
+    return "upconv stride must be >= 1, got -2"
+
+
+def _conv_padding_negative(doc):
+    _as_conv_model(doc)["encoder"][0]["padding"] = -1
+    return "conv padding must be >= 0, got -1"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -311,6 +334,11 @@ def _conv_flatten_in_shape_as_none(doc):
         _bias_missing,
         _conv_stride_as_string,
         _conv_flatten_in_shape_as_none,
+        _encoder_layer_as_list,
+        _decoder_layer_as_null,
+        _conv_stride_zero,
+        _upconv_stride_negative,
+        _conv_padding_negative,
     ],
 )
 def test_score_malformed_model_document_exit_2(tmp_path, gaussian_csv, capsys, corrupt):
@@ -537,6 +565,49 @@ def test_attack_pgd_artifacts_pinned(tmp_path, step_size):
                "--steps", 100, "--restarts", 4, "--seed", 11, "--step-size", step_size,
                "-o", out) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_PGD_SHA256[step_size]
+
+
+# sha256 of an mnist-conv2 pipeline on `conftest._draw_digits(16, side=28)`:
+# a 2-epoch train at batch 8, the latent audit at 32x32 (1024 decoded nodes,
+# so every conv layer's forward runs in several sample chunks), and the
+# latent and PGD attacks; report.json with its model path as "conv.json".
+# Recorded with numpy 2.4 on OpenBLAS (x86-64) before conv forward passes
+# ran in sample chunks
+PINNED_CONV_SHA256 = {
+    "conv.json": "4f6472029ff922edbd53b2bf9fbc356ab5130c628ff250704b51624274379d5c",
+    "train.json": "67944a2280fec4a0ed152182ead1d26401d3704e4bfcecd333ec46fcea1630ce",
+    "grid.csv": "7fedfc7fd2d851647a834437a3ffa50d0be5c92d7784b2c6f35d5e2d1ec20a39",
+    "report.json": "e5c19a810d65253355c0fb0456e1609d25b6b8029358a944fabac5d9c953e457",
+    "latent.json": "1b7546f843000dd121fc17074f608e26c75d6dce4f797b52490e13ee5dccbd3d",
+    "pgd.json": "dfeb75ff976fbe5cfb23b00d0c6b6236dd5fa829b257f1e38c1c5ac8d8452fcb",
+}
+
+
+def test_conv_artifacts_pinned(tmp_path):
+    from conftest import _draw_digits
+
+    images, labels = _draw_digits(16, side=28)
+    img, lab, pixels = tmp_path / "img.idx", tmp_path / "lab.idx", tmp_path / "pixels.csv"
+    save_idx(images, labels, img, lab)
+    save_csv(Dataset(x=images.reshape(images.shape[0], -1) / 255.0), pixels)
+    model, outdir = tmp_path / "conv.json", tmp_path / "audit"
+    assert run("train", "--preset", "mnist-conv2", "--mnist-images", img, "--mnist-labels", lab,
+               "--epochs", 2, "--batch-size", 8, "--seed", 3, "-o", model,
+               "--report", tmp_path / "train.json") == 0
+    assert run("audit", "--model", model, "--data", pixels, "--resolution", "32,32",
+               "--seed", 3, "-o", outdir) in (0, 3)
+    assert run("attack", "--model", model, "--data", pixels, "--method", "latent",
+               "--z", "4,-3", "-o", tmp_path / "latent.json") == 0
+    assert run("attack", "--model", model, "--data", pixels, "--method", "pgd", "--delta", 5,
+               "--steps", 10, "--restarts", 2, "--seed", 3, "-o", tmp_path / "pgd.json") == 0
+    artifacts = read_bytes_map([model, tmp_path / "train.json", outdir / "grid.csv",
+                                outdir / "report.json", tmp_path / "latent.json",
+                                tmp_path / "pgd.json"])
+    artifacts["report.json"] = artifacts["report.json"].replace(
+        json.dumps(str(model)).encode(), b'"conv.json"'
+    )
+    digests = {name: hashlib.sha256(b).hexdigest() for name, b in artifacts.items()}
+    assert digests == PINNED_CONV_SHA256
 
 
 def test_audit_unsupported_dims_exit_2(tmp_path):

@@ -1,15 +1,24 @@
 """Conv kernels: the strided-view im2col, the bincount col2im and the BLAS
 contractions, checked against the fancy-index gather and the einsum
-formulations they replaced (kept here as references)."""
+formulations they replaced, and the sample-chunked forward passes checked
+byte for byte against the whole-batch layers they replaced (all kept here
+as references)."""
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from aeaudit import numlin
 from aeaudit.errors import InputDomainError
 from aeaudit.layers import (
+    ACTIVATION_FNS,
+    ACTIVATIONS,
     Conv2dLayer,
+    DenseLayer,
     Upconv2dLayer,
     col2im,
     conv_output_hw,
@@ -192,3 +201,213 @@ def test_upconv2d_matches_einsum_reference(
     np.testing.assert_allclose(grads["weight"], ref_dw, rtol=RTOL, atol=ATOL)
     np.testing.assert_allclose(grads["bias"], ref_db, rtol=RTOL, atol=ATOL)
 
+
+# --- the whole-batch layers that the chunked forward passes replaced ---------
+
+
+def whole_batch_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+# (forward(z), backward(dy, z, y)): backward read the pre-activation z
+WHOLE_BATCH_ACTIVATIONS = {
+    "linear": (lambda z: z, lambda dy, z, y: dy),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda dy, z, y: dy * (z > 0.0)),
+    "sigmoid": (whole_batch_sigmoid, lambda dy, z, y: dy * y * (1.0 - y)),
+}
+
+
+def whole_batch_dense(layer, x, dy):
+    """(y, dx, dW, db) of a dense layer with z = x @ W + b kept for backward."""
+    forward, backward = WHOLE_BATCH_ACTIVATIONS[layer.activation]
+    z = x @ layer.weight + layer.bias
+    y = forward(z)
+    dz = backward(dy, z, y)
+    return y, dz @ layer.weight.T, x.T @ dz, dz.sum(axis=0)
+
+
+# The whole-batch conv layers gathered patches with `im2col` (unchanged, and
+# its copy's layout decides how tensordot calls BLAS) and scattered them
+# with a col2im that `reference_col2im` equals byte for byte.
+
+
+def whole_batch_conv2d(layer, x, dy):
+    """(y, dx, dW, db) of a conv2d layer run on the whole batch at once."""
+    forward, backward = WHOLE_BATCH_ACTIVATIONS[layer.activation]
+    b = x.shape[0]
+    co, ho, wo = layer.out_shape
+    cols = im2col(x, layer.kernel, layer.stride, layer.padding)
+    wmat = layer.weight.reshape(co, -1)
+    z = ((wmat @ cols) + layer.bias[:, None]).reshape(b, co, ho, wo)
+    y = forward(z)
+    dz = backward(dy, z, y).reshape(b, co, -1)
+    dw = np.tensordot(dz, cols, axes=([0, 2], [0, 2])).reshape(layer.weight.shape)
+    dcols = wmat.T @ dz
+    dx = reference_col2im(dcols, (b, *layer.in_shape), layer.kernel, layer.stride, layer.padding)
+    return y, dx, dw, dz.sum(axis=(0, 2))
+
+
+def whole_batch_upconv2d(layer, x, dy):
+    """(y, dx, dW, db) of an upconv2d layer run on the whole batch at once."""
+    forward, backward = WHOLE_BATCH_ACTIVATIONS[layer.activation]
+    b = x.shape[0]
+    ci = layer.in_shape[0]
+    x_mat = x.reshape(b, ci, -1)
+    wmat = layer.weight.reshape(ci, -1)
+    cols = wmat.T @ x_mat
+    z = reference_col2im(cols, (b, *layer.out_shape), layer.kernel, layer.stride, layer.padding)
+    z = z + layer.bias[None, :, None, None]
+    y = forward(z)
+    dz = backward(dy, z, y)
+    dcols = im2col(dz, layer.kernel, layer.stride, layer.padding)
+    dw = np.tensordot(x_mat, dcols, axes=([0, 2], [0, 2])).reshape(layer.weight.shape)
+    dx = (wmat @ dcols).reshape(b, *layer.in_shape)
+    return y, dx, dw, dz.sum(axis=(0, 2, 3))
+
+
+def assert_layer_bytes_equal(layer, reference, x, dy, per_sample):
+    """The layer at one-sample chunks, three-sample chunks and one chunk
+    gives the reference's output and gradients byte for byte."""
+    want = reference(layer, x, dy)
+    for budget in (1, 3 * per_sample, 2**30):
+        with mock.patch.object(numlin, "SCRATCH_ELEMENTS", budget):
+            y, cache = layer.forward(x)
+            dx, grads = layer.backward(dy, cache)
+        got = (y, dx, grads["weight"], grads["bias"])
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+
+@st.composite
+def chunked_geometry(draw):
+    """(channels in, channels out, H, W, kernel, stride, padding, batch, activation)."""
+    kernel = draw(st.integers(1, 5))
+    stride = draw(st.integers(1, 3))
+    padding = draw(st.integers(0, 2))
+    h = draw(st.integers(max(1, kernel - 2 * padding), 9))
+    w = draw(st.integers(max(1, kernel - 2 * padding), 9))
+    return (
+        draw(st.integers(1, 3)), draw(st.integers(1, 3)), h, w, kernel, stride, padding,
+        draw(st.integers(1, 40)), draw(st.sampled_from(ACTIVATIONS)),
+    )
+
+
+@given(chunked_geometry(), st.integers(0, 2**32 - 1))
+def test_conv2d_chunked_bytes_equal_whole_batch(geom, seed):
+    ci, co, h, w, kernel, stride, padding, b, act = geom
+    rng = np.random.default_rng(seed)
+    layer = Conv2dLayer(rng.standard_normal((co, ci, kernel, kernel)), rng.standard_normal(co),
+                        stride, padding, act, (ci, h, w))
+    x = rng.standard_normal((b, ci, h, w))
+    dy = rng.standard_normal((b, *layer.out_shape))
+    _, ho, wo = layer.out_shape
+    assert_layer_bytes_equal(layer, whole_batch_conv2d, x, dy, ci * kernel * kernel * ho * wo)
+
+
+@given(chunked_geometry(), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_upconv2d_chunked_bytes_equal_whole_batch(geom, output_padding, seed):
+    ci, co, h, w, kernel, stride, padding, b, act = geom
+    rng = np.random.default_rng(seed)
+    try:
+        layer = Upconv2dLayer(rng.standard_normal((ci, co, kernel, kernel)),
+                              rng.standard_normal(co), stride, padding, output_padding, act,
+                              (ci, h, w))
+    except InputDomainError:
+        assume(False)
+    x = rng.standard_normal((b, ci, h, w))
+    dy = rng.standard_normal((b, *layer.out_shape))
+    assert_layer_bytes_equal(layer, whole_batch_upconv2d, x, dy, co * kernel * kernel * h * w)
+
+
+@pytest.mark.parametrize("in_shape,co,kernel,stride,padding", CONV_CASES)
+@pytest.mark.parametrize("act", ACTIVATIONS)
+def test_conv2d_chunked_bytes_equal_whole_batch_at_model_shapes(
+    in_shape, co, kernel, stride, padding, act
+):
+    rng = np.random.default_rng(7)
+    layer = Conv2dLayer(rng.standard_normal((co, in_shape[0], kernel, kernel)),
+                        rng.standard_normal(co), stride, padding, act, in_shape)
+    x = rng.standard_normal((23, *in_shape))
+    dy = rng.standard_normal((23, *layer.out_shape))
+    _, ho, wo = layer.out_shape
+    per_sample = in_shape[0] * kernel * kernel * ho * wo
+    assert_layer_bytes_equal(layer, whole_batch_conv2d, x, dy, per_sample)
+
+
+@pytest.mark.parametrize("in_shape,co,kernel,stride,padding,output_padding", UPCONV_CASES)
+@pytest.mark.parametrize("act", ACTIVATIONS)
+def test_upconv2d_chunked_bytes_equal_whole_batch_at_model_shapes(
+    in_shape, co, kernel, stride, padding, output_padding, act
+):
+    rng = np.random.default_rng(8)
+    layer = Upconv2dLayer(rng.standard_normal((in_shape[0], co, kernel, kernel)),
+                          rng.standard_normal(co), stride, padding, output_padding, act, in_shape)
+    x = rng.standard_normal((23, *in_shape))
+    dy = rng.standard_normal((23, *layer.out_shape))
+    per_sample = co * kernel * kernel * in_shape[1] * in_shape[2]
+    assert_layer_bytes_equal(layer, whole_batch_upconv2d, x, dy, per_sample)
+
+
+@pytest.mark.parametrize("act", ACTIVATIONS)
+def test_dense_in_place_activation_bytes_equal_whole_batch(act):
+    rng = np.random.default_rng(9)
+    layer = DenseLayer(rng.standard_normal((6, 4)), rng.standard_normal(4), act)
+    x = rng.standard_normal((17, 6)) * 3.0
+    dy = rng.standard_normal((17, 4))
+    y, cache = layer.forward(x)
+    dx, grads = layer.backward(dy, cache)
+    got = (y, dx, grads["weight"], grads["bias"])
+    for g, w in zip(got, whole_batch_dense(layer, x, dy)):
+        assert g.tobytes() == w.tobytes()
+
+
+EDGE_VALUES = np.array(
+    [0.0, -0.0, 1e-320, -1e-320, 1.0, -1.0, 710.0, -710.0, 745.0, -745.0, 800.0, -800.0,
+     np.inf, -np.inf, np.nan, -np.nan]
+)
+
+
+def test_sigmoid_bytes_equal_masked_form_at_edge_values():
+    z = np.concatenate([EDGE_VALUES, np.random.default_rng(10).standard_normal(200) * 40.0])
+    got = ACTIVATION_FNS["sigmoid"][0](z.copy())
+    assert got.tobytes() == whole_batch_sigmoid(z).tobytes()
+    assert np.array_equal(np.signbit(got[-202:-200]), [False, True])  # NaNs keep their sign
+
+
+def test_relu_backward_from_output_equals_backward_from_input():
+    z = np.concatenate([EDGE_VALUES, np.random.default_rng(11).standard_normal(200)])
+    dy = np.random.default_rng(12).standard_normal(z.shape)
+    forward, backward = ACTIVATION_FNS["relu"]
+    y = forward(z.copy())
+    assert backward(dy, y).tobytes() == WHOLE_BATCH_ACTIVATIONS["relu"][1](dy, z, None).tobytes()
+    assert y.tobytes() == np.maximum(z, 0.0).tobytes()
+
+
+def test_conv_forward_peak_memory_within_output_and_budget():
+    # at batch 1024 the whole-batch conv2d forward allocated a 58 MB patch
+    # matrix (peak 91 MB, upconv2d 149 MB); in sample chunks a forward's
+    # allocations stay within its output plus a few chunk budgets (the
+    # patches, the scatter index and the scattered chunk)
+    rng = np.random.default_rng(13)
+    budget = 8 * numlin.SCRATCH_ELEMENTS  # bytes of float64 scratch
+    layers = [
+        Conv2dLayer(rng.standard_normal((32, 16, 3, 3)), np.zeros(32), 2, 1, "relu", (16, 14, 14)),
+        Upconv2dLayer(rng.standard_normal((32, 16, 3, 3)), np.zeros(16), 2, 1, 1, "relu",
+                      (32, 7, 7)),
+    ]
+    for layer in layers:
+        x = rng.standard_normal((1024, *layer.in_shape))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            y, _ = layer.forward(x)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= y.nbytes + 4 * budget, (layer.kind, peak)
