@@ -202,6 +202,10 @@ def extract_regions(
     A region's min_dist_to_train is the smallest distance from any of its
     cells' coordinates to any training point; contains_training_data is set
     when some training point's nearest grid node belongs to the region.
+    The distances are taken a chunk of cells at a time (`_distance_chunks`),
+    so the scratch stays near `numlin.SCRATCH_ELEMENTS` squared distances
+    whatever the region and training set, and each chunk of two or more
+    cells gives the bits the whole region would in one product.
     Regions are ordered by their first cell in row-major order. A region's
     `cells` are in breadth-first order from that cell, visiting neighbours
     up, down, left, right; the report lists them in this order.
@@ -244,13 +248,11 @@ def extract_regions(
         cell_losses = losses[i, j]
         best = int(np.lexsort((j, i, cell_losses))[0])
         coords = np.column_stack((xs[j], ys[i]))
-        min_dist = float("inf")
-        for lo in range(0, coords.shape[0], 4096):
-            chunk = coords[lo : lo + 4096]
-            d2 = chunk @ neg2_train_t
-            d2 += np.sum(chunk * chunk, axis=1)[:, None]
-            d2 += train_norms[None, :]
-            min_dist = min(min_dist, float(np.sqrt(max(float(d2.min()), 0.0))))
+        min_d2 = min(
+            _min_squared_distance(coords[c], neg2_train_t, train_norms)
+            for c in _distance_chunks(coords.shape[0], train_norms.shape[0])
+        )
+        min_dist = float(np.sqrt(max(min_d2, 0.0)))
         bi, bj = int(i[best]), int(j[best])
         regions.append(
             Region(
@@ -263,6 +265,27 @@ def extract_regions(
             )
         )
     return regions
+
+
+def _distance_chunks(k: int, m: int) -> list[slice]:
+    """`numlin.row_chunks` of k cells against m training points, with no
+    1-row chunk unless k is 1. OpenBLAS gives each row of the (rows, 2) x
+    (2, m) distance product the same bits for any chunk of two or more rows,
+    but takes a 1-row product on another path with other bits; so a chunk
+    holds at least two rows, and a 1-row tail joins the chunk before it."""
+    chunks = numlin.row_chunks(k, max(1, min(m, numlin.SCRATCH_ELEMENTS // 2)))
+    if len(chunks) > 1 and chunks[-1].stop - chunks[-1].start == 1:
+        chunks[-2:] = [slice(chunks[-2].start, k)]
+    return chunks
+
+
+def _min_squared_distance(chunk, neg2_train_t, train_norms) -> float:
+    """Smallest |c|^2 - 2 c.t + |t|^2 over the chunk's rows c and the
+    training points t; the (rows, m) scratch is freed on return."""
+    d2 = chunk @ neg2_train_t
+    d2 += np.sum(chunk * chunk, axis=1)[:, None]
+    d2 += train_norms[None, :]
+    return float(d2.min())
 
 
 def representative_input(grid: AuditGrid, model, region: Region) -> np.ndarray:

@@ -6,7 +6,10 @@ width). Every layer exposes `in_shape` and `out_shape`: an int for a flat
 width, a (C, H, W) tuple for an image. Convolutions gather patches with
 im2col (a strided view of the padded input, copied once) and scatter them
 back with col2im (a bincount over the same patch indices), so every
-contraction is a BLAS matmul or tensordot. The transposed convolution is
+contraction is a BLAS matmul. A weight gradient is one GEMM per sample
+summed over the batch, so its bits do not depend on the BLAS thread count
+(one GEMM over the whole batch gave other bits with one thread than with
+two). The transposed convolution is
 implemented as the exact adjoint of a strided convolution, which is what
 makes the finite-difference gradient checks pass to 1e-6.
 
@@ -91,7 +94,9 @@ def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     b, c, h, w = x.shape
     ho, wo = conv_output_hw(h, w, kernel, stride, padding)
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:-padding, padding:-padding] = x
+        x = xp
     win = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]  # (B, C, Ho, Wo, k, k)
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kernel * kernel, ho * wo)
@@ -287,7 +292,7 @@ class Conv2dLayer(_KernelLayer):
         dz = ACTIVATION_FNS[self.activation][1](dy, y).reshape(b, co, -1)
         cols = im2col(x, self.kernel, self.stride, self.padding)
         wmat = self.weight.reshape(co, -1)
-        dwmat = np.tensordot(dz, cols, axes=([0, 2], [0, 2]))
+        dwmat = np.matmul(dz, cols.transpose(0, 2, 1)).sum(axis=0)
         db = dz.sum(axis=(0, 2))
         dcols = wmat.T @ dz
         dx = col2im(dcols, (b, *self.in_shape), self.kernel, self.stride, self.padding)
@@ -344,7 +349,7 @@ class Upconv2dLayer(_KernelLayer):
         db = dz.sum(axis=(0, 2, 3))
         dcols = im2col(dz, self.kernel, self.stride, self.padding)  # (B, Co*k*k, H*W)
         wmat = self.weight.reshape(ci, -1)
-        dwmat = np.tensordot(x_mat, dcols, axes=([0, 2], [0, 2]))
+        dwmat = np.matmul(x_mat, dcols.transpose(0, 2, 1)).sum(axis=0)
         dx = (wmat @ dcols).reshape(b, *self.in_shape)
         return dx, {"weight": dwmat.reshape(self.weight.shape), "bias": db}
 

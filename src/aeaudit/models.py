@@ -352,12 +352,103 @@ def save_model(model, path) -> None:
 def write_json(doc: dict, path) -> None:
     """Write a JSON artifact: sorted keys, one-space indent, trailing newline.
 
-    NaN and Infinity are not JSON and raise ValueError. The document streams
-    to the file: building the string first would add its size to peak memory.
+    The bytes are those of ``json.dump(doc, f, sort_keys=True, indent=1,
+    allow_nan=False)`` plus a newline. As there, NaN and Infinity are not
+    JSON and raise ValueError, and other types raise TypeError. That
+    encoder, once it indents, writes one token at a time in pure Python;
+    this one writes each list of numbers, and each list of such lists, with
+    one join and streams the rest, so memory holds the text of one such
+    list at most, never the whole document.
     """
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True, indent=1, allow_nan=False)
+        _write_value(doc, 0, f.write)
         f.write("\n")
+
+
+_NUMBER_TYPES = {int, float}  # exact types: bool and numpy scalars take the item path
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _write_value(o, level: int, write) -> None:
+    text = _json_scalar(o)
+    if text is not None:
+        write(text)
+    elif isinstance(o, dict):
+        _write_dict(o, level, write)
+    elif isinstance(o, (list, tuple)):
+        _write_list(o, level, write)
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _json_scalar(o) -> str | None:
+    """JSON text of a string, number, bool or None; None for anything else."""
+    if isinstance(o, str):
+        return _json_string(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        return float.__repr__(o)
+    return None
+
+
+def _numbers(items, sep: str) -> str | None:
+    """The items' texts joined by sep when every item is an int or a float,
+    else None."""
+    kinds = set(map(type, items))
+    if not kinds <= _NUMBER_TYPES:
+        return None
+    text = sep.join(map(repr, items))
+    if float in kinds and "n" in text:  # "nan" and "inf" are the only such reprs
+        for v in items:
+            _json_scalar(v)
+    return text
+
+
+def _write_list(items, level: int, write) -> None:
+    if not items:
+        write("[]")
+        return
+    indent = "\n" + " " * level
+    inner = indent + " "
+    sep = "," + inner
+    text = _numbers(items, sep)
+    if text is None and set(map(type, items)) == {list} and all(items):
+        rows = [_numbers(row, sep + " ") for row in items]
+        if None not in rows:
+            text = sep.join([f"[{inner} {row}{inner}]" for row in rows])
+    if text is not None:
+        write(f"[{inner}{text}{indent}]")
+        return
+    write("[")
+    for k, v in enumerate(items):
+        write(sep if k else inner)
+        _write_value(v, level + 1, write)
+    write(indent + "]")
+
+
+def _write_dict(d: dict, level: int, write) -> None:
+    if not d:
+        write("{}")
+        return
+    indent = "\n" + " " * level
+    inner = indent + " "
+    write("{")
+    for k, (key, v) in enumerate(sorted(d.items())):
+        name = key if isinstance(key, str) else _json_scalar(key)
+        if name is None:
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        write(f"{',' if k else ''}{inner}{_json_string(name)}: ")
+        _write_value(v, level + 1, write)
+    write(indent + "}")
 
 
 def load_model(path):

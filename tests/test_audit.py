@@ -5,6 +5,7 @@ per-cell formulations they replaced (a deque BFS with per-region
 annotation, and cell-by-cell CSV and SVG writers), kept here as references.
 """
 
+import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import deque
 
@@ -27,6 +28,7 @@ from aeaudit.audit import (
     scan_latent_space,
     write_grid_csv,
 )
+from aeaudit import numlin
 from aeaudit.anomaly import is_undetected, score
 from aeaudit.datagen import Dataset, SyntheticSpec, generate
 from aeaudit.errors import InputDomainError
@@ -611,3 +613,113 @@ def test_writer_grids_reach_their_branches(tmp_path):
     rects = [e for e in svg("non-square").iter() if e.tag.endswith("rect")]
     assert rects[0].get("width") == "2.00" and len(rects) == 7 * 300
     assert len(circles(svg("points-outside"))) == len(_INSIDE)
+
+
+# --- region distances: cache-sized chunks against fixed 4096-row chunks -------
+
+
+def reference_min_dist_to_train(coords, train_points):
+    """A region's distance to the training points as taken before the scan
+    used `numlin.row_chunks`: 4096 cells a chunk, so a region of 4096 n + 1
+    cells ended in a 1-row product."""
+    neg2_train_t = -2.0 * train_points.T
+    train_norms = np.sum(train_points * train_points, axis=1)
+    min_dist = float("inf")
+    for lo in range(0, coords.shape[0], 4096):
+        chunk = coords[lo : lo + 4096]
+        d2 = chunk @ neg2_train_t
+        d2 += np.sum(chunk * chunk, axis=1)[:, None]
+        d2 += train_norms[None, :]
+        min_dist = min(min_dist, float(np.sqrt(max(float(d2.min()), 0.0))))
+    return min_dist
+
+
+def _region_coords(region, xs, ys):
+    i, j = np.array(region.cells).T
+    return np.column_stack((xs[j], ys[i]))
+
+
+def assert_distances_match_reference(losses, xs, ys, epsilon, train):
+    regions = extract_regions(losses, xs, ys, epsilon, train, 1.0)
+    for r in regions:
+        want = reference_min_dist_to_train(_region_coords(r, xs, ys), train)
+        assert np.float64(r.min_dist_to_train).tobytes() == np.float64(want).tobytes()
+    return regions
+
+
+@pytest.mark.parametrize("budget", [None, 16, 1000], ids=["default", "budget-16", "budget-1000"])
+@pytest.mark.parametrize("m, side", [(1, 70), (2, 70), (1000, 70), (5000, 30)])
+def test_region_distances_bytes_equal_4096_row_chunks(monkeypatch, budget, m, side):
+    # a mask near the percolation threshold: 1-cell regions up to ones of
+    # dozens to hundreds of cells, each scanned in several chunks
+    rng = np.random.default_rng(m + side)
+    losses = rng.uniform(0.0, 1.0, (side, side))
+    xs, ys = grid_axis(-4.0, 5.0, side), grid_axis(-3.0, 6.0, side)
+    train = rng.normal(size=(m, 2)) * 2.0
+    if budget is not None:
+        monkeypatch.setattr(numlin, "SCRATCH_ELEMENTS", budget)
+    sizes = [len(r.cells) for r in assert_distances_match_reference(losses, xs, ys, 0.55, train)]
+    assert min(sizes) == 1 and max(sizes) > 50
+
+
+@pytest.mark.parametrize("budget", [None, 16], ids=["default", "budget-16"])
+@pytest.mark.parametrize("m", [1, 2, 1000])
+@pytest.mark.parametrize("cells", [1, 2, 3, 66, 4096, 4098, 8192])
+def test_one_region_distance_bytes_equal_4096_row_chunks(monkeypatch, budget, m, cells):
+    ny = 2 if cells % 2 == 0 and cells > 2 else 1
+    nx = cells // ny
+    xs = grid_axis(-3.0, 7.0, nx) if nx > 1 else np.array([0.25])
+    ys = grid_axis(-1.0, 1.0, ny) if ny > 1 else np.array([0.5])
+    train = np.random.default_rng(cells + m).normal(size=(m, 2)) * 3.0
+    if budget is not None:
+        monkeypatch.setattr(numlin, "SCRATCH_ELEMENTS", budget)
+    (region,) = assert_distances_match_reference(np.zeros((ny, nx)), xs, ys, 0.5, train)
+    assert len(region.cells) == cells
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_region_of_4096n_plus_1_cells_ends_in_no_one_row_product(n):
+    # the last cell, the one nearest the data, shares a chunk with the cells
+    # before it, so it has the bits of the whole region in one product; the
+    # 4096-row scan took it as a 1-row product, which OpenBLAS rounds on
+    # another path (on x86-64 it moved this distance by about 4e-14)
+    cells = 4096 * n + 1
+    xs, ys = grid_axis(-3.0, 7.0, cells), np.array([0.37])
+    rng = np.random.default_rng(3)
+    train = np.column_stack(
+        (xs[-1] + 0.3 + rng.normal(size=33) * 0.01, 0.37 + rng.normal(size=33) * 0.5)
+    )
+    train[1:, 0] += 20.0
+    (region,) = extract_regions(np.zeros((1, cells)), xs, ys, 0.5, train, 1.0)
+    assert region.cells[-1] == (0, cells - 1)
+    coords = _region_coords(region, xs, ys)
+    d2 = coords @ (-2.0 * train.T)
+    d2 += np.sum(coords * coords, axis=1)[:, None]
+    d2 += np.sum(train * train, axis=1)[None, :]
+    assert int(d2.min(axis=1).argmin()) == cells - 1
+    assert region.min_dist_to_train == float(np.sqrt(max(float(d2.min()), 0.0)))
+    old = reference_min_dist_to_train(coords, train)
+    assert abs(region.min_dist_to_train - old) <= 1e-12 * old
+
+
+def test_region_distance_scratch_within_budget():
+    # one 40 000-cell region against 5000 training points: the 4096-row scan
+    # allocated 164 MB a chunk (325 MB at peak, two chunks alive at once);
+    # in cache-sized chunks the scan adds at most one chunk budget and the
+    # cells' coordinates to the peak of the same region against 2 points
+    side, m = 200, 5000
+    losses = np.zeros((side, side))
+    xs = grid_axis(-1.0, 1.0, side)
+    train = np.random.default_rng(17).normal(size=(m, 2))
+
+    def peak(points):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            extract_regions(losses, xs, xs, 0.5, points, 1.0)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    coords_bytes = side * side * 2 * 8
+    assert peak(train) - peak(train[:2]) <= 8 * numlin.SCRATCH_ELEMENTS + coords_bytes

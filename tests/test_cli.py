@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -486,6 +490,40 @@ def test_audit_artifacts_pinned(tmp_path):
     assert digests == PINNED_AUDIT_SHA256
 
 
+# sha256 of a PCA audit whose one sub-epsilon region fills the 200x200 latent
+# plane (the benchmark's pca-wide workload at seed 11: 1000 rows of 64
+# features near a plane), recorded before the region's distances were taken
+# in cache-sized chunks and before write_json stopped calling json.dump;
+# report.json with its model path as "pca.json"
+PINNED_WIDE_PCA_SHA256 = {
+    "pca.json": "214b8142a46d97d32d32e0d7ac194416380768aff30baad71b8036b3e1f9282a",
+    "grid.csv": "c4e3004f6f90f0833874d2fe0ef50b0279d731a0d3ad118c213eb4ebfe7853e1",
+    "report.json": "5c3981278e9540b20d9a9819cfa14a2d6dfed6525e221e133e54d2b5022593b3",
+    "heatmap.svg": "b3448df9bd02589bdaeb76c829fbc080e9b2c0a2b5b72180219550d5960933db",
+}
+
+
+def test_wide_pca_audit_artifacts_pinned(tmp_path):
+    rng = np.random.default_rng(11)
+    plane = np.linalg.qr(rng.normal(size=(64, 2)))[0].T
+    latent = rng.normal(size=(1000, 2)) * np.array([5.0, 3.0])
+    x = latent @ plane + rng.normal(size=(1000, 64)) * 0.1 + rng.normal(scale=2.0, size=64)
+    data, model, outdir = tmp_path / "data.csv", tmp_path / "pca.json", tmp_path / "audit"
+    save_csv(Dataset(x=x), data)
+    save_model(pca_fit(x, d=2), model)
+    assert run("audit", "--model", model, "--data", data, "--epsilon", 0.1, "--seed", 11,
+               "-o", outdir) == 0
+    report = json.loads((outdir / "report.json").read_text())
+    assert [r["cell_count"] for r in report["regions"]] == [40000]
+    artifacts = read_bytes_map([model, outdir / "grid.csv", outdir / "report.json",
+                                outdir / "heatmap.svg"])
+    artifacts["report.json"] = artifacts["report.json"].replace(
+        json.dumps(str(model)).encode(), b'"pca.json"'
+    )
+    digests = {name: hashlib.sha256(b).hexdigest() for name, b in artifacts.items()}
+    assert digests == PINNED_WIDE_PCA_SHA256
+
+
 # model.json and train.json of a 200-epoch [2,5,1,5,2] ReLU train on
 # `gen-data --family gaussian --n 100 --cov 9,0,0,9 --seed 11`
 PINNED_TRAIN_SHA256 = {
@@ -571,19 +609,21 @@ def test_attack_pgd_artifacts_pinned(tmp_path, step_size):
 # a 2-epoch train at batch 8, the latent audit at 32x32 (1024 decoded nodes,
 # so every conv layer's forward runs in several sample chunks), and the
 # latent and PGD attacks; report.json with its model path as "conv.json".
-# Recorded with numpy 2.4 on OpenBLAS (x86-64) before conv forward passes
-# ran in sample chunks
+# Recorded with numpy 2.4 on OpenBLAS (x86-64) once the conv weight
+# gradients were per-sample GEMMs, whose bits are the same with one BLAS
+# thread or two (test_conv_artifacts_independent_of_blas_threads)
 PINNED_CONV_SHA256 = {
-    "conv.json": "4f6472029ff922edbd53b2bf9fbc356ab5130c628ff250704b51624274379d5c",
+    "conv.json": "bdd40bdcfdd011d5bfb505e28bb727c75c61e439708189165c46b2a0eb0b0c3f",
     "train.json": "67944a2280fec4a0ed152182ead1d26401d3704e4bfcecd333ec46fcea1630ce",
-    "grid.csv": "7fedfc7fd2d851647a834437a3ffa50d0be5c92d7784b2c6f35d5e2d1ec20a39",
-    "report.json": "e5c19a810d65253355c0fb0456e1609d25b6b8029358a944fabac5d9c953e457",
-    "latent.json": "1b7546f843000dd121fc17074f608e26c75d6dce4f797b52490e13ee5dccbd3d",
-    "pgd.json": "dfeb75ff976fbe5cfb23b00d0c6b6236dd5fa829b257f1e38c1c5ac8d8452fcb",
+    "grid.csv": "a8f0a4a6b05805310f9a8549a0f0bb33e0819c9369418c07497b2870a59efb54",
+    "report.json": "c58a6978438315ceab566e05c377bf63dba42a6261813319348c7d77d196cddc",
+    "latent.json": "e188bfc7753ac4acb725f4bb48f88b3c93717d2d7bca093eb15ecfec7ce3e2aa",
+    "pgd.json": "501748f8cf237663e692cd88c98065dc50cc0cacbb4cf8dbe743084e930aec67",
 }
 
 
-def test_conv_artifacts_pinned(tmp_path):
+def conv_pipeline_digests(tmp_path):
+    """sha256 of each artifact of the PINNED_CONV_SHA256 pipeline, run in tmp_path."""
     from conftest import _draw_digits
 
     images, labels = _draw_digits(16, side=28)
@@ -606,8 +646,34 @@ def test_conv_artifacts_pinned(tmp_path):
     artifacts["report.json"] = artifacts["report.json"].replace(
         json.dumps(str(model)).encode(), b'"conv.json"'
     )
-    digests = {name: hashlib.sha256(b).hexdigest() for name, b in artifacts.items()}
-    assert digests == PINNED_CONV_SHA256
+    return {name: hashlib.sha256(b).hexdigest() for name, b in artifacts.items()}
+
+
+def test_conv_artifacts_pinned(tmp_path):
+    assert conv_pipeline_digests(tmp_path) == PINNED_CONV_SHA256
+
+
+def test_conv_artifacts_independent_of_blas_threads(tmp_path):
+    # the same pipeline in fresh processes with one and two BLAS threads;
+    # the thread count is read when numpy loads, so it cannot change in-process
+    tests_dir = Path(__file__).resolve().parent
+    script = (
+        "import json, sys; from pathlib import Path; "
+        f"sys.path[:0] = [{str(tests_dir)!r}, {str(tests_dir.parent / 'src')!r}]; "
+        "from test_cli import conv_pipeline_digests; "
+        "print(json.dumps(conv_pipeline_digests(Path(sys.argv[1]))))"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        workdir = tmp_path / f"threads-{threads}"
+        workdir.mkdir()
+        out = subprocess.run([sys.executable, "-c", script, str(workdir)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        digests.append(json.loads(out.strip().splitlines()[-1]))
+    assert digests[0] == digests[1]
 
 
 def test_audit_unsupported_dims_exit_2(tmp_path):

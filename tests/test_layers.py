@@ -231,9 +231,11 @@ def whole_batch_dense(layer, x, dy):
     return y, dz @ layer.weight.T, x.T @ dz, dz.sum(axis=0)
 
 
-# The whole-batch conv layers gathered patches with `im2col` (unchanged, and
-# its copy's layout decides how tensordot calls BLAS) and scattered them
-# with a col2im that `reference_col2im` equals byte for byte.
+# The whole-batch conv layers gathered patches with `im2col` (unchanged) and
+# scattered them with a col2im that `reference_col2im` equals byte for byte.
+# Their weight gradients are written in the layers' per-sample GEMM form;
+# `test_weight_gradient_matches_tensordot` ties that form to the batch-wide
+# tensordot it replaced.
 
 
 def whole_batch_conv2d(layer, x, dy):
@@ -246,7 +248,7 @@ def whole_batch_conv2d(layer, x, dy):
     z = ((wmat @ cols) + layer.bias[:, None]).reshape(b, co, ho, wo)
     y = forward(z)
     dz = backward(dy, z, y).reshape(b, co, -1)
-    dw = np.tensordot(dz, cols, axes=([0, 2], [0, 2])).reshape(layer.weight.shape)
+    dw = np.matmul(dz, cols.transpose(0, 2, 1)).sum(axis=0).reshape(layer.weight.shape)
     dcols = wmat.T @ dz
     dx = reference_col2im(dcols, (b, *layer.in_shape), layer.kernel, layer.stride, layer.padding)
     return y, dx, dw, dz.sum(axis=(0, 2))
@@ -265,7 +267,7 @@ def whole_batch_upconv2d(layer, x, dy):
     y = forward(z)
     dz = backward(dy, z, y)
     dcols = im2col(dz, layer.kernel, layer.stride, layer.padding)
-    dw = np.tensordot(x_mat, dcols, axes=([0, 2], [0, 2])).reshape(layer.weight.shape)
+    dw = np.matmul(x_mat, dcols.transpose(0, 2, 1)).sum(axis=0).reshape(layer.weight.shape)
     dx = (wmat @ dcols).reshape(b, *layer.in_shape)
     return y, dx, dw, dz.sum(axis=(0, 2, 3))
 
@@ -352,6 +354,31 @@ def test_upconv2d_chunked_bytes_equal_whole_batch_at_model_shapes(
     dy = rng.standard_normal((23, *layer.out_shape))
     per_sample = co * kernel * kernel * in_shape[1] * in_shape[2]
     assert_layer_bytes_equal(layer, whole_batch_upconv2d, x, dy, per_sample)
+
+
+@pytest.mark.parametrize("case", CONV_CASES + UPCONV_CASES)
+def test_weight_gradient_matches_tensordot(case):
+    # the per-sample GEMM sum equals the batch-wide tensordot it replaced
+    # to rounding (the tensordot's bits moved with the BLAS thread count)
+    rng = np.random.default_rng(14)
+    in_shape, co, kernel, stride, padding = case[:5]
+    if len(case) == 5:
+        layer = Conv2dLayer(rng.standard_normal((co, in_shape[0], kernel, kernel)),
+                            rng.standard_normal(co), stride, padding, "linear", in_shape)
+    else:
+        layer = Upconv2dLayer(rng.standard_normal((in_shape[0], co, kernel, kernel)),
+                              rng.standard_normal(co), stride, padding, case[5], "linear",
+                              in_shape)
+    x = rng.standard_normal((8, *in_shape))
+    dy = rng.standard_normal((8, *layer.out_shape))
+    _, cache = layer.forward(x)
+    _, grads = layer.backward(dy, cache)
+    if layer.kind == "conv2d":
+        pair = (dy.reshape(8, co, -1), im2col(x, kernel, stride, padding))
+    else:
+        pair = (x.reshape(8, in_shape[0], -1), im2col(dy, kernel, stride, padding))
+    want = np.tensordot(*pair, axes=([0, 2], [0, 2])).reshape(layer.weight.shape)
+    np.testing.assert_allclose(grads["weight"], want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("act", ACTIVATIONS)

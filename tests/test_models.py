@@ -1,9 +1,12 @@
 """Tests for the model zoo: PCA, MLP/conv autoencoders, serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aeaudit.datagen import SyntheticSpec, generate
 from aeaudit.errors import FormatError, InputDomainError
@@ -19,6 +22,7 @@ from aeaudit.models import (
     load_model,
     pca_fit,
     save_model,
+    write_json,
 )
 from aeaudit.rng import Rng
 
@@ -301,3 +305,84 @@ def test_load_missing_format_tag(tmp_path):
     p.write_text('{"hello": "world"}')
     with pytest.raises(FormatError, match="format"):
         load_model(p)
+
+
+# --- write_json against the json.dump it replaced ----------------------------
+
+
+def reference_write_json(doc, path):
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, sort_keys=True, indent=1, allow_nan=False)
+        f.write("\n")
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.0**-1074, 1e16, 1e-7, 0.1]
+_NUMBERS = st.one_of(
+    st.integers(),
+    st.integers(-(2**100), 2**100),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+_TEXT = st.one_of(st.text(), st.sampled_from(["", '"', "\\", "\n\t\x00\x7f", "é", "\u2028", "😀"]))
+_LEAVES = st.one_of(
+    _NUMBERS, st.booleans(), st.none(), _TEXT,
+    st.lists(st.one_of(_NUMBERS, st.booleans()), max_size=5),  # numbers mixed with bools
+    st.lists(st.lists(_NUMBERS, max_size=3), max_size=4),  # lists of number lists
+)
+JSON_DOCS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+def _outcome(writer, doc, path):
+    """The file's bytes, or the class of the exception the writer raised."""
+    try:
+        writer(doc, path)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc)
+    return path.read_bytes()
+
+
+@given(JSON_DOCS)
+def test_write_json_bytes_equal_json_dump(tmp_path_factory, doc):
+    tmp = tmp_path_factory.mktemp("json")
+    want = _outcome(reference_write_json, doc, tmp / "ref.json")
+    assert isinstance(want, bytes)
+    assert _outcome(write_json, doc, tmp / "doc.json") == want
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{}, [], {"a": [], "b": {}}, [[], [1]], [[1, 2], [3.5, -0.0]], [[True, 1]], [(1, 2), [3]],
+     {1: "int", 2: "keys"}, {1.5: 0, -0.0: 1}, {True: 1, False: 0}, {None: [None]},
+     [np.float64(0.1), 1, 2.5], {"s": [[np.float64(-0.0)]]}, 7, "top", None, -2.5],
+)
+def test_write_json_bytes_equal_json_dump_at_edges(tmp_path, doc):
+    want = _outcome(reference_write_json, doc, tmp_path / "ref.json")
+    assert isinstance(want, bytes)
+    assert _outcome(write_json, doc, tmp_path / "doc.json") == want
+
+
+_NOT_FINITE = [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")]
+_NOT_JSON = [np.int64(3), np.bool_(True), object(), {1, 2}, b"bytes", np.array([1.0])]
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE + _NOT_JSON, ids=repr)
+@pytest.mark.parametrize(
+    "where",
+    [lambda v: v, lambda v: [1.0, v], lambda v: [[1.0, 2.0], [3.0, v]], lambda v: {"k": [v]},
+     lambda v: {v: 1} if isinstance(v, float) else {"k": v}],
+    ids=["top", "number-list", "nested-number-list", "dict", "key"],
+)
+def test_write_json_raises_what_json_dump_raises(tmp_path, bad, where):
+    doc = where(bad)
+    want = _outcome(reference_write_json, doc, tmp_path / "ref.json")
+    assert want in (ValueError, TypeError)
+    assert _outcome(write_json, doc, tmp_path / "doc.json") is want
