@@ -103,11 +103,7 @@ def _latent_walk(model, xm: np.ndarray, delta: float, direction, method: str):
     norms = np.sqrt(np.sum(offsets * offsets, axis=1))
     radius = float(norms.max())
     if direction is not None:
-        u = numlin.as_vector(direction, "direction")
-        if u.shape[0] != encodings.shape[1]:
-            raise InputDomainError(
-                f"direction must have length {encodings.shape[1]}, got {u.shape[0]}"
-            )
+        u = numlin.as_vector(direction, "direction", size=encodings.shape[1])
         nu = float(np.linalg.norm(u))
         if nu == 0.0:
             raise InputDomainError("direction must be nonzero")
@@ -148,15 +144,20 @@ def construct_pca_adversary(
     return _latent_walk(model, xm, delta, direction, "analytic_pca")
 
 
-def linear_encoder_matrix(model: AutoencoderModel) -> np.ndarray:
-    """Collapse an all-linear dense encoder (plus standardization) to one matrix."""
-    w = None
-    for layer in model.encoder:
+def _require_linear(layers, part: str) -> None:
+    for layer in layers:
         if not isinstance(layer, DenseLayer) or layer.activation != "linear":
             raise InputDomainError(
                 "analytic attacks need a PCA model or an all-linear autoencoder; "
-                "this encoder has a non-linear or non-dense layer"
+                f"this {part} has a non-linear or non-dense layer"
             )
+
+
+def linear_encoder_matrix(model: AutoencoderModel) -> np.ndarray:
+    """Collapse an all-linear dense encoder (plus standardization) to one matrix."""
+    _require_linear(model.encoder, "encoder")
+    w = None
+    for layer in model.encoder:
         w = layer.weight if w is None else w @ layer.weight
     if w is None:
         raise InputDomainError("encoder has no layers")
@@ -184,12 +185,7 @@ def construct_linear_ae_adversary(
     _require_delta(delta)
     xm = numlin.as_matrix(x, "training data")
     w_enc = linear_encoder_matrix(model)
-    for layer in model.decoder:
-        if not isinstance(layer, DenseLayer) or layer.activation != "linear":
-            raise InputDomainError(
-                "analytic attacks need a PCA model or an all-linear autoencoder; "
-                "this decoder has a non-linear or non-dense layer"
-            )
+    _require_linear(model.decoder, "decoder")
     d = model.latent_dim
     pca = pca_fit(xm, d)
     angles = numlin.principal_angles(w_enc, pca.basis)
@@ -212,12 +208,10 @@ def optimal_biases(w_enc, w_dec, x) -> tuple[np.ndarray, np.ndarray]:
     """
     we = numlin.as_matrix(w_enc, "encoder weight")
     wd = numlin.as_matrix(w_dec, "decoder weight")
-    xm = numlin.as_matrix(x, "data")
     n, d = we.shape
     if wd.shape != (d, n):
         raise InputDomainError(f"decoder weight must be {(d, n)}, got {wd.shape}")
-    if xm.shape[1] != n:
-        raise InputDomainError(f"data must have {n} columns, got {xm.shape[1]}")
+    xm = numlin.as_matrix(x, "data", cols=n)
     mean = xm.mean(axis=0)
     return -mean @ we, mean.copy()
 
@@ -314,9 +308,7 @@ def latent_decode_adversary(model: AutoencoderModel, z, x_train) -> AdversaryRes
     own reconstruction (decode, re-encode, decode), which is exactly the
     score the detector would assign the decoded sample.
     """
-    zv = numlin.as_vector(np.asarray(z, dtype=np.float64), "latent point")
-    if zv.shape[0] != model.latent_dim:
-        raise InputDomainError(f"latent point must have length {model.latent_dim}")
+    zv = numlin.as_vector(z, "latent point", size=model.latent_dim)
     xm = numlin.as_matrix(x_train, "training data")
     return _measured(model, xm, decode_batch(model, zv), 0.0, "latent_decode", latent_point=zv)
 
@@ -409,11 +401,7 @@ def pgd_adversary(
         raise InputDomainError(f"step_size must be finite and > 0, got {step_size}")
     if steps < 0 or restarts < 1:
         raise InputDomainError("steps must be >= 0 and restarts >= 1")
-    xm = numlin.as_matrix(x, "training data")
-    if xm.shape[1] != model.input_dim:
-        raise InputDomainError(
-            f"data has {xm.shape[1]} features, model expects {model.input_dim}"
-        )
+    xm = numlin.as_matrix(x, "training data", cols=model.input_dim)
     lo = xm.min(axis=0)
     hi = xm.max(axis=0)
     center = (lo + hi) / 2.0
@@ -458,9 +446,7 @@ def pgd_adversary(
 def write_pgm(a, image_hw: tuple[int, int], path) -> None:
     """Dump a flat [0,1] image vector as a binary 8-bit PGM for inspection."""
     h, w = image_hw
-    v = numlin.as_vector(np.asarray(a, dtype=np.float64), "image")
-    if v.shape[0] != h * w:
-        raise InputDomainError(f"image vector length {v.shape[0]} != {h}x{w}")
+    v = numlin.as_vector(a, "image", size=h * w)
     pixels = np.clip(np.rint(v * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

@@ -68,11 +68,7 @@ def sample_scores(model, x: np.ndarray, convention: str = "mean") -> np.ndarray:
     """Vector of per-row reconstruction losses."""
     if convention not in CONVENTIONS:
         raise InputDomainError(f"convention must be one of {CONVENTIONS}")
-    xm = numlin.as_matrix(x, "samples")
-    if xm.shape[1] != model.input_dim:
-        raise InputDomainError(
-            f"data has {xm.shape[1]} features, model expects {model.input_dim}"
-        )
+    xm = numlin.as_matrix(x, "samples", cols=model.input_dim)
     _, xhat = forward_batch(model, xm)
     sq = np.sum((xm - xhat) ** 2, axis=1)
     if convention == "mean":
@@ -116,7 +112,7 @@ def is_undetected(a, model, train_scores: ScoreTable) -> Verdict:
     """
     if train_scores.role != "train":
         raise InputDomainError("train_scores must come from a train-role dataset")
-    av = numlin.as_vector(np.asarray(a, dtype=np.float64), "candidate")
+    av = numlin.as_vector(a, "candidate")
     with np.errstate(over="ignore", invalid="ignore"):
         s = float(sample_scores(model, av[None, :], train_scores.convention)[0])
     floor = train_scores.min_score

@@ -145,14 +145,10 @@ def scan_latent_space(
     of the grid are the encodings of x_train. Default bounds inflate the
     encodings' bounding box 2x.
     """
-    xm = numlin.as_matrix(x_train, "training data")
+    xm = numlin.as_matrix(x_train, "training data", cols=model.input_dim)
     if model.latent_dim != 2:
         raise InputDomainError(
             f"latent-space audits need latent_dim == 2, got {model.latent_dim}"
-        )
-    if xm.shape[1] != model.input_dim:
-        raise InputDomainError(
-            f"data has {xm.shape[1]} features, model expects {model.input_dim}"
         )
     return _scan(
         "latent2d", encode_batch(model, xm), 2.0,

@@ -38,7 +38,6 @@ from .audit import (
 )
 from .datagen import (
     FAMILIES,
-    Dataset,
     SyntheticSpec,
     generate,
     load_csv,
@@ -66,29 +65,20 @@ EXIT_USAGE = 2
 EXIT_FINDING = 3
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _numbers(kind, count: int | None = None):
+    """argparse type: comma-separated ints or floats, exactly `count` if given."""
+    noun = "integers" if kind is int else "floats"
 
+    def parse(text: str) -> tuple:
+        try:
+            vals = tuple(kind(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
+        if count is not None and len(vals) != count:
+            raise argparse.ArgumentTypeError(f"expected {count} {noun}, got {text!r}")
+        return vals
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
-
-
-def _pair(text: str) -> tuple[float, float]:
-    vals = _float_list(text)
-    if len(vals) != 2:
-        raise argparse.ArgumentTypeError(f"expected two floats, got {text!r}")
-    return vals[0], vals[1]
-
-
-def _load_dataset(args) -> Dataset:
-    return load_csv(args.data, has_header=args.has_header)
+    return parse
 
 
 def _say(msg: str) -> None:
@@ -105,14 +95,9 @@ def cmd_gen_data(args) -> int:
         seed=args.seed,
     )
     if args.mean is not None:
-        spec_kwargs["means"] = tuple(tuple(m) for m in args.mean)
+        spec_kwargs["means"] = tuple(args.mean)
     if args.cov is not None:
-        covs = []
-        for flat in args.cov:
-            if len(flat) != 4:
-                raise InputDomainError("--cov takes 4 floats per component (row-major 2x2)")
-            covs.append(((flat[0], flat[1]), (flat[2], flat[3])))
-        spec_kwargs["covariances"] = tuple(covs)
+        spec_kwargs["covariances"] = tuple((c[:2], c[2:]) for c in args.cov)
     if args.noise is not None:
         spec_kwargs["noise_scale"] = args.noise
     if args.x_range is not None:
@@ -180,7 +165,7 @@ def cmd_train(args) -> int:
             image_hw=(side, side), latent_dim=args.latent_dim, seed=args.seed
         )
     else:
-        dataset = _load_dataset(args)
+        dataset = load_csv(args.data, has_header=args.has_header)
         preprocessing = None
         if args.standardize:
             mean, std = standardization_stats(dataset.x)
@@ -210,7 +195,7 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     model = load_model(args.model)
-    dataset = _load_dataset(args)
+    dataset = load_csv(args.data, has_header=args.has_header)
     table = score(model, dataset, convention=args.convention)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -256,7 +241,7 @@ def _baseline_min(path) -> float:
 
 def cmd_audit(args) -> int:
     model = load_model(args.model)
-    dataset = _load_dataset(args)
+    dataset = load_csv(args.data, has_header=args.has_header)
 
     space = args.space
     if space == "auto":
@@ -270,13 +255,9 @@ def cmd_audit(args) -> int:
                 "no plane to audit"
             )
 
-    if args.bounds is not None and len(args.bounds) != 4:
-        raise InputDomainError("--bounds takes xmin,xmax,ymin,ymax")
-    if len(args.resolution) != 2:
-        raise InputDomainError("--resolution takes nx,ny")
     kwargs = dict(
-        bounds=tuple(args.bounds) if args.bounds else None,
-        resolution=(args.resolution[0], args.resolution[1]),
+        bounds=args.bounds,
+        resolution=args.resolution,
         epsilon=args.epsilon,
         far_threshold=args.far_threshold,
     )
@@ -304,7 +285,7 @@ def cmd_audit(args) -> int:
 
 def cmd_attack(args) -> int:
     model = load_model(args.model)
-    dataset = _load_dataset(args)
+    dataset = load_csv(args.data, has_header=args.has_header)
 
     if args.method == "analytic":
         if isinstance(model, PcaModel):
@@ -316,7 +297,7 @@ def cmd_attack(args) -> int:
             raise InputDomainError("--method latent needs --z")
         if not isinstance(model, AutoencoderModel):
             raise InputDomainError("--method latent needs an autoencoder model")
-        result = latent_decode_adversary(model, np.array(args.z), dataset.x)
+        result = latent_decode_adversary(model, args.z, dataset.x)
     else:
         if not isinstance(model, AutoencoderModel):
             raise InputDomainError("--method pgd needs an autoencoder model")
@@ -361,23 +342,25 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--family", required=True, choices=FAMILIES)
     g.add_argument("--n", type=int, default=100, help="samples per component")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--mean", type=_float_list, action="append", help="component mean, e.g. 0,0")
-    g.add_argument("--cov", type=_float_list, action="append", help="row-major 2x2 covariance")
+    g.add_argument("--mean", type=_numbers(float), action="append",
+                   help="component mean, e.g. 0,0")
+    g.add_argument("--cov", type=_numbers(float, 4), action="append",
+                   help="row-major 2x2 covariance")
     g.add_argument("--noise", type=float, help="banana noise scale")
-    g.add_argument("--x-range", type=_pair, help="banana x1 range lo,hi")
-    g.add_argument("--alpha-range", type=_pair, help="diagonal alpha range lo,hi")
+    g.add_argument("--x-range", type=_numbers(float, 2), help="banana x1 range lo,hi")
+    g.add_argument("--alpha-range", type=_numbers(float, 2), help="diagonal alpha range lo,hi")
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train an autoencoder and save the model")
     t.add_argument("--data", help="training CSV")
     t.add_argument("--has-header", action="store_true")
-    t.add_argument("--arch", type=_int_list, help="layer sizes, e.g. 2,5,1,5,2")
+    t.add_argument("--arch", type=_numbers(int), help="layer sizes, e.g. 2,5,1,5,2")
     t.add_argument("--act", default="relu", choices=ACTIVATIONS)
     t.add_argument("--preset", help="mnist-conv2")
     t.add_argument("--mnist-images", help="IDX image file for the preset")
     t.add_argument("--mnist-labels", help="IDX label file for the preset")
-    t.add_argument("--digits", type=_int_list, help="digits kept as normal data")
+    t.add_argument("--digits", type=_numbers(int), help="digits kept as normal data")
     t.add_argument("--max-per-digit", type=int)
     t.add_argument("--latent-dim", type=int, default=2)
     t.add_argument("--standardize", action="store_true")
@@ -408,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--data", required=True)
     a.add_argument("--has-header", action="store_true")
     a.add_argument("--space", default="auto", choices=["auto", "input", "latent"])
-    a.add_argument("--bounds", type=_float_list, help="xmin,xmax,ymin,ymax")
-    a.add_argument("--resolution", type=_int_list, default=[200, 200])
+    a.add_argument("--bounds", type=_numbers(float, 4), help="xmin,xmax,ymin,ymax")
+    a.add_argument("--resolution", type=_numbers(int, 2), default=(200, 200))
     a.add_argument("--epsilon", type=float, default=0.1)
     a.add_argument("--far-threshold", type=float)
     a.add_argument("--seed", type=int, default=0)
@@ -422,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--has-header", action="store_true")
     k.add_argument("--method", required=True, choices=["analytic", "pgd", "latent"])
     k.add_argument("--delta", type=float, default=10.0)
-    k.add_argument("--z", type=_float_list, help="latent point for --method latent")
+    k.add_argument("--z", type=_numbers(float), help="latent point for --method latent")
     k.add_argument("--steps", type=int, default=500)
     k.add_argument("--step-size", type=float, default=1e-2)
     k.add_argument("--restarts", type=int, default=10)

@@ -73,6 +73,9 @@ class SyntheticSpec:
         double_gaussian: two 2D Gaussians, samples_per_component each.
         banana: x1 ~ Uniform(x_range), x2 = x1^2 + Normal(0, noise_scale^2).
         diagonal: rows alpha_i * (1, 1), alpha_i ~ Uniform(alpha_range).
+
+    The fields a family uses are checked when the spec is built; the
+    covariances' definiteness is checked when it is drawn from.
     """
 
     family: str
@@ -91,6 +94,22 @@ class SyntheticSpec:
             )
         if self.samples_per_component < 1:
             raise InputDomainError("samples_per_component must be >= 1")
+        if self.family == "banana":
+            if not self.x_range[0] < self.x_range[1]:
+                raise InputDomainError(f"x_range must be increasing, got {self.x_range}")
+            if not self.noise_scale >= 0:
+                raise InputDomainError("noise_scale must be >= 0")
+        elif self.family == "diagonal":
+            if not self.alpha_range[0] < self.alpha_range[1]:
+                raise InputDomainError(f"alpha_range must be increasing, got {self.alpha_range}")
+        else:
+            means, covs = self.resolved_means(), self.resolved_covariances()
+            if not means:
+                raise InputDomainError(f"{self.family} needs at least one component mean")
+            if len(covs) != len(means):
+                raise InputDomainError(f"{len(covs)} covariances for {len(means)} component means")
+            for i, (mean, cov) in enumerate(zip(means, covs)):
+                numlin.as_vector(mean, f"mean {i}", size=len(cov))
 
     def resolved_means(self) -> list[np.ndarray]:
         if self.means is not None:
@@ -102,16 +121,9 @@ class SyntheticSpec:
         return []
 
     def resolved_covariances(self) -> list[np.ndarray]:
-        means = self.resolved_means()
         if self.covariances is not None:
-            covs = [np.asarray(c, dtype=np.float64) for c in self.covariances]
-        else:
-            covs = [np.eye(len(m)) for m in means]
-        if len(covs) != len(means):
-            raise InputDomainError(
-                f"{len(covs)} covariances for {len(means)} component means"
-            )
-        return covs
+            return [np.asarray(c, dtype=np.float64) for c in self.covariances]
+        return [np.eye(len(m)) for m in self.resolved_means()]
 
     def to_json_dict(self) -> dict:
         d = {
@@ -171,10 +183,6 @@ def generate(spec: SyntheticSpec) -> Dataset:
 
     if spec.family == "banana":
         lo, hi = spec.x_range
-        if not lo < hi:
-            raise InputDomainError(f"x_range must be increasing, got {spec.x_range}")
-        if spec.noise_scale < 0:
-            raise InputDomainError("noise_scale must be >= 0")
         rows = np.empty((n, 2))
         for i in range(n):
             x1 = rng.uniform(lo, hi)
@@ -184,8 +192,6 @@ def generate(spec: SyntheticSpec) -> Dataset:
 
     # diagonal: every sample occupies the line spanned by (1, 1)
     lo, hi = spec.alpha_range
-    if not lo < hi:
-        raise InputDomainError(f"alpha_range must be increasing, got {spec.alpha_range}")
     rows = np.empty((n, 2))
     for i in range(n):
         alpha = rng.uniform(lo, hi)

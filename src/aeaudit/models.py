@@ -89,17 +89,6 @@ def pca_fit(x, d: int) -> PcaModel:
     return PcaModel(mean=mean, basis=res.v[:, :d].copy(), singular_values=res.sigma)
 
 
-def as_rows(x, n: int, name: str) -> tuple[np.ndarray, bool]:
-    """2-D float rows of width n, and whether x was a single vector."""
-    a = np.asarray(x, dtype=np.float64)
-    single = a.ndim == 1
-    if single:
-        a = a[None, :]
-    if a.ndim != 2 or a.shape[1] != n:
-        raise InputDomainError(f"{name} must have {n} columns, got shape {a.shape}")
-    return a, single
-
-
 @dataclass
 class Preprocessing:
     """Optional per-feature standardization recorded with the model."""
@@ -152,6 +141,12 @@ class AutoencoderModel:
         for layer in self.layers():
             for name, p in layer.params().items():
                 numlin.require_finite(p, f"{layer.kind} {name}")
+        pre = self.preprocessing
+        if pre is not None:
+            numlin.as_vector(pre.mean, "preprocessing mean", size=self.input_dim)
+            std = numlin.as_vector(pre.std, "preprocessing std", size=self.input_dim)
+            if not np.all(std > 0.0):
+                raise InputDomainError("preprocessing std must be > 0")
 
     @property
     def input_dim(self) -> int:
@@ -187,21 +182,21 @@ def _chain_shapes(layers, shape):
 
 def encode_batch(model, x) -> np.ndarray:
     """Latent rows of input rows; a single vector gives a single vector."""
-    a, single = as_rows(x, model.input_dim, "input")
+    a, single = numlin.as_rows(x, model.input_dim, "input")
     z = model.encode(a)
     return z[0] if single else z
 
 
 def decode_batch(model, z) -> np.ndarray:
     """Input-space rows of latent rows; a single vector gives a single vector."""
-    a, single = as_rows(z, model.latent_dim, "latent")
+    a, single = numlin.as_rows(z, model.latent_dim, "latent")
     out = model.decode(a)
     return out[0] if single else out
 
 
 def forward_batch(model, x) -> tuple[np.ndarray, np.ndarray]:
     """(latent, reconstruction) of input rows, or of a single vector."""
-    a, single = as_rows(x, model.input_dim, "input")
+    a, single = numlin.as_rows(x, model.input_dim, "input")
     z = model.encode(a)
     out = model.decode(z)
     return (z[0], out[0]) if single else (z, out)
@@ -276,6 +271,8 @@ def build_conv_autoencoder(
     h, w = image_hw
     if h < 4 or w < 4 or h % 2 or w % 2:
         raise InputDomainError(f"image sides must be even and >= 4, got {image_hw}")
+    if latent_dim < 1:
+        raise InputDomainError(f"latent_dim must be >= 1, got {latent_dim}")
     c1, c2 = channels
     rng = Rng(seed)
     k = 3

@@ -1,4 +1,4 @@
-"""Dense linear algebra kernel: SVD, subspace angles, distances.
+"""Dense linear algebra kernel: array validation, SVD, subspace angles, distances.
 
 All routines work on 64-bit float numpy arrays and are pure functions of
 their inputs. The SVD and QR factorizations are LAPACK's, via numpy.
@@ -13,24 +13,47 @@ import numpy as np
 from .errors import DegenerateBasisError, InputDomainError
 
 
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Validate and return a finite 2-D float64 array."""
+def as_matrix(x, name: str = "matrix", cols: int | None = None) -> np.ndarray:
+    """Validate and return a finite 2-D float64 array, `cols` wide if given."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise InputDomainError(f"{name} must be 2-D, got shape {a.shape}")
     if a.size == 0:
         raise InputDomainError(f"{name} must be non-empty")
+    _require_width(a, cols, name)
     require_finite(a, name)
     return a
 
 
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Validate and return a finite 1-D float64 array."""
+def as_vector(x, name: str = "vector", size: int | None = None) -> np.ndarray:
+    """Validate and return a finite 1-D float64 array, of `size` if given."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 1:
         raise InputDomainError(f"{name} must be 1-D, got shape {a.shape}")
+    _require_width(a, size, name)
     require_finite(a, name)
     return a
+
+
+def as_rows(x, n: int, name: str) -> tuple[np.ndarray, bool]:
+    """2-D float64 rows of width n, and whether x was a single vector.
+
+    Unlike as_matrix, non-finite entries pass: the model entry points
+    evaluate whatever rows they are given.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    single = a.ndim == 1
+    if single:
+        a = a[None, :]
+    if a.ndim != 2:
+        raise InputDomainError(f"{name} must be a vector or rows, got shape {a.shape}")
+    _require_width(a, n, name)
+    return a, single
+
+
+def _require_width(a: np.ndarray, n: int | None, name: str) -> None:
+    if n is not None and a.shape[-1] != n:
+        raise InputDomainError(f"{name} has length {a.shape[-1]}, expected {n}")
 
 
 def require_finite(a: np.ndarray, name: str = "array") -> None:
@@ -155,17 +178,8 @@ def nearest_row(x, a):
     call gives; the rows are scanned a chunk at a time (`row_chunks`).
     """
     xm = as_matrix(x, "data matrix")
-    q = np.asarray(a, dtype=np.float64)
-    single = q.ndim == 1
-    if single:
-        q = q[None, :]
-    if q.ndim != 2:
-        raise InputDomainError(f"query must be a vector or rows, got shape {q.shape}")
+    q, single = as_rows(a, xm.shape[1], "query")
     require_finite(q, "query vector" if single else "query rows")
-    if q.shape[1] != xm.shape[1]:
-        raise InputDomainError(
-            f"query has length {q.shape[1]}, rows have length {xm.shape[1]}"
-        )
     idx = np.empty(q.shape[0], dtype=np.intp)
     d2 = np.empty(q.shape[0])
     for c in row_chunks(q.shape[0], xm.size):

@@ -20,7 +20,7 @@ from . import numlin
 from .datagen import Dataset
 from .errors import InputDomainError, TrainingDivergedError
 from .layers import run_layers
-from .models import AutoencoderModel, as_rows, save_model, write_json
+from .models import AutoencoderModel, save_model, write_json
 from .rng import Rng, derive_seed, permutations
 
 OPTIMIZERS = ("sgd", "adam")
@@ -112,10 +112,8 @@ class TrainReport:
 
 def reconstruction_loss(x, xhat) -> float:
     """Mean squared error between a sample and its reconstruction."""
-    a = numlin.as_vector(np.asarray(x, dtype=np.float64), "x")
-    b = numlin.as_vector(np.asarray(xhat, dtype=np.float64), "xhat")
-    if a.shape != b.shape:
-        raise InputDomainError(f"length mismatch: {a.shape} vs {b.shape}")
+    a = numlin.as_vector(x, "x")
+    b = numlin.as_vector(xhat, "xhat", size=a.shape[0])
     d = a - b
     return float(d @ d) / a.shape[0]
 
@@ -147,7 +145,7 @@ def backward(model: AutoencoderModel, batch: np.ndarray) -> tuple[float, list[di
 
 def _network_forward(model: AutoencoderModel, batch, caches: list | None = None):
     """Forward in network space: (standardized rows, flat network output)."""
-    a, _ = as_rows(batch, model.input_dim, "batch")
+    a, _ = numlin.as_rows(batch, model.input_dim, "batch")
     if model.preprocessing is not None:
         a = model.preprocessing.apply(a)
     out = run_layers(model.layers(), a.reshape(a.shape[0], *model.input_shape), caches)
@@ -168,12 +166,12 @@ def _backprop(model: AutoencoderModel, dy: np.ndarray, caches: list):
 def input_gradient(model: AutoencoderModel, a) -> tuple[float | np.ndarray, np.ndarray]:
     """Loss L(a) = mse(a, model(a)) and its gradient with respect to a.
 
-    Takes rows like every other entry point (see `models.as_rows`): an
+    Takes rows like every other entry point (see `numlin.as_rows`): an
     (R, n) array gives R losses and an (R, n) gradient, a single vector a
     float and a vector. Works in raw input space: the chain rule runs
     through the standardization maps when the model has them.
     """
-    v, single = as_rows(a, model.input_dim, "input")
+    v, single = numlin.as_rows(a, model.input_dim, "input")
     caches: list = []
     std = model.preprocessing
     _, net_out = _network_forward(model, v, caches)
@@ -305,11 +303,7 @@ def train(
     if dataset.role != "train":
         raise InputDomainError(f"dataset role must be 'train', got {dataset.role!r}")
     model = copy.deepcopy(model)
-    x = dataset.x
-    if x.shape[1] != model.input_dim:
-        raise InputDomainError(
-            f"dataset has {x.shape[1]} features, model expects {model.input_dim}"
-        )
+    x, _ = numlin.as_rows(dataset.x, model.input_dim, "dataset")
     m = x.shape[0]
     opt = _make_optimizer(model, config)
     block = max(SHUFFLE_BLOCK_EPOCHS, SHUFFLE_BLOCK_INDICES // max(m, 1))

@@ -75,6 +75,34 @@ def test_gen_data_invalid_covariance_exit_2(tmp_path):
     assert code == 2
 
 
+def test_gen_data_mean_longer_than_covariance_exit_2(tmp_path, capsys):
+    code = run(
+        "gen-data", "--family", "gaussian", "--mean", "0,0,0", "--cov", "1,0,0,1",
+        "-o", tmp_path / "x.csv",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "mean 0 has length 3, expected 2" in err
+    assert "internal error" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["audit", "--model", "m.json", "--data", "d.csv", "--bounds", "1,2,3"], "--bounds"),
+        (["audit", "--model", "m.json", "--data", "d.csv", "--resolution", "5"], "--resolution"),
+        (["gen-data", "--family", "gaussian", "--cov", "1,0,0"], "--cov"),
+        (["gen-data", "--family", "banana", "--x-range", "1"], "--x-range"),
+    ],
+)
+def test_wrong_number_count_is_a_usage_error_naming_the_flag(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "-o", tmp_path / "out")
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected" in capsys.readouterr().err
+
+
 def test_gen_data_bad_flag_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run("gen-data", "--family", "nope", "-o", tmp_path / "x.csv")
@@ -198,6 +226,20 @@ def test_train_conv_preset_on_idx_files(tmp_path):
     model = load_model(model_path)
     assert model.latent_dim == 2
     assert model.input_shape == (1, 8, 8)
+
+
+@pytest.mark.parametrize("latent_dim", [-1, 0])
+def test_train_conv_preset_rejects_latent_dim_below_1(tmp_path, capsys, latent_dim):
+    images = (Rng(12).uniforms(0.0, 1.0, (4, 4, 4)) * 255).astype(np.uint8)
+    img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+    save_idx(images, np.zeros(4, dtype=np.uint8), img, lab)
+    code = run(
+        "train", "--preset", "mnist-conv2", "--mnist-images", img, "--mnist-labels", lab,
+        "--latent-dim", latent_dim, "--epochs", 1, "-o", tmp_path / "conv.json",
+    )
+    assert code == 2
+    assert f"latent_dim must be >= 1, got {latent_dim}" in capsys.readouterr().err
+    assert not (tmp_path / "conv.json").exists()
 
 
 # --- score ------------------------------------------------------------------------
@@ -328,6 +370,16 @@ def _conv_padding_negative(doc):
     return "conv padding must be >= 0, got -1"
 
 
+def _preprocessing_std_empty(doc):
+    doc["preprocessing"] = {"mean": [0.0, 0.0], "std": []}
+    return "preprocessing std has length 0, expected 2"
+
+
+def _preprocessing_std_zero(doc):
+    doc["preprocessing"] = {"mean": [0.0, 0.0], "std": [1.0, 0.0]}
+    return "preprocessing std must be > 0"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -343,6 +395,8 @@ def _conv_padding_negative(doc):
         _conv_stride_zero,
         _upconv_stride_negative,
         _conv_padding_negative,
+        _preprocessing_std_empty,
+        _preprocessing_std_zero,
     ],
 )
 def test_score_malformed_model_document_exit_2(tmp_path, gaussian_csv, capsys, corrupt):

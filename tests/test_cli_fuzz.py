@@ -1,0 +1,190 @@
+"""Malformed-input fuzzing of the command-line interface.
+
+Every subcommand is called in-process with malformed input: number lists
+that do not parse or have the wrong count, model documents with one field
+removed or retyped, and truncated IDX and CSV files. Whatever the input,
+the exit code must never be 1 (internal error): a malformed input is a
+usage or input error (2), and an input that happens to stay well formed
+runs as usual.
+"""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aeaudit.cli import main
+from aeaudit.datagen import Dataset, save_csv, save_idx
+from aeaudit.models import (
+    Preprocessing,
+    build_conv_autoencoder,
+    build_mlp_autoencoder,
+    pca_fit,
+    save_model,
+)
+from aeaudit.rng import Rng
+
+FUZZ = settings(max_examples=40)
+
+# small enough that a well-formed command still runs in milliseconds
+FAST = {
+    "train": ["--epochs", 1],
+    "audit": ["--resolution", "4,4"],
+    "attack": ["--method", "pgd", "--steps", 1, "--restarts", 1, "--delta", 0.5],
+}
+
+
+def exit_code(argv) -> tuple[int, str]:
+    """main(argv)'s exit code, argparse's included, and what it printed."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, sink.getvalue()
+
+
+def assert_not_internal(argv) -> None:
+    code, out = exit_code(argv)
+    assert code != 1, f"aeaudit {' '.join(map(str, argv))} exited 1:\n{out}"
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Well-formed inputs: a 2-column CSV with PCA, MLP and standardized MLP
+    models for it, a 4x4 IDX pair, and a 16-column CSV with a conv model."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = Rng(3)
+    x2 = rng.uniforms(-1.0, 1.0, (12, 2))
+    save_csv(Dataset(x=x2), root / "data2.csv")
+    images = np.array(rng.uniforms(0.0, 255.0, (6, 4, 4)), dtype=np.uint8)
+    save_idx(images, np.arange(6) % 2, root / "images.idx", root / "labels.idx")
+    save_csv(Dataset(x=images.reshape(6, 16) / 255.0), root / "data16.csv")
+    pre = Preprocessing(mean=x2.mean(axis=0), std=x2.std(axis=0))
+    models = {
+        "pca": (pca_fit(x2, 1), "data2.csv"),
+        "mlp": (build_mlp_autoencoder([2, 3, 1, 3, 2], seed=1), "data2.csv"),
+        "std": (build_mlp_autoencoder([2, 3, 2, 3, 2], seed=2, preprocessing=pre), "data2.csv"),
+        "conv": (build_conv_autoencoder((4, 4), channels=(2, 2), seed=4), "data16.csv"),
+    }
+    for name, (model, _) in models.items():
+        save_model(model, root / f"{name}.json")
+    return root, {name: data for name, (_, data) in models.items()}
+
+
+# --- number lists -------------------------------------------------------------
+
+TOKENS = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.sampled_from(["", "x", "0.5", "-1.5", "1e400", "nan", "inf", " 2", "2,"]),
+)
+NUMBER_LISTS = st.lists(TOKENS, max_size=6).map(",".join)
+
+# (command prefix, list flag); the data and model come from the fixture
+LIST_FLAGS = [
+    (["gen-data", "--family", "gaussian", "--n", 5], "--mean"),
+    (["gen-data", "--family", "double_gaussian", "--n", 5], "--cov"),
+    (["gen-data", "--family", "banana", "--n", 5], "--x-range"),
+    (["gen-data", "--family", "diagonal", "--n", 5], "--alpha-range"),
+    (["train", "--data", "data2.csv", *FAST["train"]], "--arch"),
+    (["train", "--preset", "mnist-conv2", "--mnist-images", "images.idx",
+      "--mnist-labels", "labels.idx", *FAST["train"]], "--digits"),
+    (["audit", "--model", "pca.json", "--data", "data2.csv"], "--bounds"),
+    (["audit", "--model", "pca.json", "--data", "data2.csv"], "--resolution"),
+    (["attack", "--model", "mlp.json", "--data", "data2.csv", "--method", "latent"], "--z"),
+]
+
+
+def _rooted(root, argv):
+    """argv with every fixture file name made a path under root."""
+    return [root / a if isinstance(a, str) and a.endswith((".csv", ".json", ".idx")) else a
+            for a in argv]
+
+
+@FUZZ
+@given(case=st.sampled_from(LIST_FLAGS), text=NUMBER_LISTS)
+def test_malformed_number_list_never_exits_1(files, case, text):
+    root, _ = files
+    prefix, flag = case
+    out = root / ("out" if prefix[0] == "audit" else "out.json")
+    assert_not_internal([*_rooted(root, prefix), flag, text, "-o", out])
+
+
+# --- model documents ------------------------------------------------------------
+
+
+def _paths(doc, prefix=()):
+    """Every dict key and the first and last entry of every list, as paths."""
+    if isinstance(doc, dict):
+        items = list(doc.items())
+    elif isinstance(doc, list) and doc:
+        items = sorted({0: doc[0], len(doc) - 1: doc[-1]}.items())
+    else:
+        return
+    for key, value in items:
+        yield (*prefix, key)
+        yield from _paths(value, (*prefix, key))
+
+
+RETYPED = [None, "x", True, 0, -1, 1.5, [], {}, [1.0], [[1.0]]]
+REMOVE = object()
+
+
+def _mutated(doc, path, value):
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is REMOVE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def broken_models(draw):
+    name = draw(st.sampled_from(["pca", "mlp", "std", "conv"]))
+    command = draw(st.sampled_from(["score", "audit", "attack"]))
+    return name, command, draw(st.integers(0, 10**6)), draw(st.sampled_from([REMOVE, *RETYPED]))
+
+
+@FUZZ
+@given(case=broken_models())
+def test_model_document_with_a_field_removed_or_retyped_never_exits_1(files, case):
+    root, data = files
+    name, command, pick, value = case
+    doc = json.loads((root / f"{name}.json").read_text())
+    paths = list(_paths(doc))
+    (root / "broken.json").write_text(json.dumps(_mutated(doc, paths[pick % len(paths)], value)))
+    out = root / ("out" if command == "audit" else "out.csv")
+    assert_not_internal([command, "--model", root / "broken.json", "--data", root / data[name],
+                         *FAST.get(command, []), "-o", out])
+
+
+# --- truncated files --------------------------------------------------------------
+
+
+@FUZZ
+@given(which=st.sampled_from(["images.idx", "labels.idx", "data2.csv"]),
+       keep=st.floats(0.0, 1.0), command=st.sampled_from(["score", "audit", "attack", "train"]))
+def test_truncated_idx_or_csv_never_exits_1(files, which, keep, command):
+    root, _ = files
+    data = (root / which).read_bytes()
+    (root / f"cut-{which}").write_bytes(data[: int(keep * len(data))])
+    if which.endswith(".idx"):
+        idx = {"images.idx": root / "images.idx", "labels.idx": root / "labels.idx"}
+        idx[which] = root / f"cut-{which}"
+        argv = ["train", "--preset", "mnist-conv2", "--mnist-images", idx["images.idx"],
+                "--mnist-labels", idx["labels.idx"], *FAST["train"], "-o", root / "out.json"]
+    elif command == "train":
+        argv = ["train", "--data", root / "cut-data2.csv", "--arch", "2,1,2", *FAST["train"],
+                "-o", root / "out.json"]
+    else:
+        argv = [command, "--model", root / "mlp.json", "--data", root / "cut-data2.csv",
+                *FAST.get(command, []), "-o", root / ("out" if command == "audit" else "out.csv")]
+    assert_not_internal(argv)

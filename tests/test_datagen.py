@@ -100,6 +100,31 @@ def test_invalid_family_and_covariance_rejected():
         generate(asym)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(family="banana", x_range=(2.0, -2.0)), "x_range must be increasing"),
+        (dict(family="banana", x_range=(1.0, 1.0)), "x_range must be increasing"),
+        (dict(family="banana", noise_scale=-0.1), "noise_scale must be >= 0"),
+        (dict(family="diagonal", alpha_range=(1.0, 0.0)), "alpha_range must be increasing"),
+        (dict(family="gaussian", means=((0.0, 0.0, 0.0),), covariances=(((1.0, 0.0), (0.0, 1.0)),)),
+         "mean 0 has length 3, expected 2"),
+        (dict(family="double_gaussian", covariances=(((1.0, 0.0), (0.0, 1.0)),)),
+         "1 covariances for 2 component means"),
+        (dict(family="gaussian", means=()), "gaussian needs at least one component mean"),
+    ],
+)
+def test_spec_rejected_when_constructed(fields, message):
+    with pytest.raises(InputDomainError, match=message):
+        SyntheticSpec(**fields)
+
+
+def test_spec_ignores_the_range_its_family_does_not_use():
+    spec = SyntheticSpec(family="gaussian", samples_per_component=5, x_range=(2.0, -2.0),
+                         alpha_range=(1.0, 0.0), noise_scale=-1.0)
+    assert generate(spec).x.shape == (5, 2)
+
+
 def test_dataset_validation():
     with pytest.raises(InputDomainError):
         Dataset(x=np.array([[1.0, np.inf]]))

@@ -371,7 +371,10 @@ def test_write_json_bytes_equal_json_dump_at_edges(tmp_path, doc):
 
 
 _NOT_FINITE = [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")]
-_NOT_JSON = [np.int64(3), np.bool_(True), object(), {1, 2}, b"bytes", np.array([1.0])]
+# A bare object's repr holds its memory address, which changes from run to run;
+# its id elides the address so the test names stay the same between runs.
+_NOT_JSON = [np.int64(3), np.bool_(True), pytest.param(object(), id="<object object at ...>"),
+             {1, 2}, b"bytes", np.array([1.0])]
 
 
 @pytest.mark.parametrize("bad", _NOT_FINITE + _NOT_JSON, ids=repr)

@@ -6,7 +6,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aeaudit import numlin
+from aeaudit.adversary import (
+    construct_pca_adversary,
+    latent_decode_adversary,
+    optimal_biases,
+    pgd_adversary,
+    write_pgm,
+)
+from aeaudit.anomaly import sample_scores
+from aeaudit.audit import scan_latent_space
+from aeaudit.datagen import Dataset
 from aeaudit.errors import DegenerateBasisError, InputDomainError
+from aeaudit.models import build_mlp_autoencoder, decode_batch, encode_batch, pca_fit
 from aeaudit.numlin import (
     SvdResult,
     _signed,
@@ -17,6 +28,7 @@ from aeaudit.numlin import (
     svd,
 )
 from aeaudit.rng import Rng
+from aeaudit.training import TrainConfig, input_gradient, reconstruction_loss, train
 
 
 def max_abs(a):
@@ -286,3 +298,61 @@ def test_nearest_row_rejects_bad_queries():
         nearest_row(x, np.ones((4, 3)))
     with pytest.raises(InputDomainError, match="NaN or Inf"):
         nearest_row(x, [[0.0, 1.0], [np.nan, 0.0]])
+
+
+# --- one width rule for every entry point ----------------------------------------
+
+
+@pytest.fixture()
+def width_inputs(tmp_path):
+    """Models and data of width 2 (latent 1, or 2 for `ae2`), and rows x3 of
+    width 3 to pass where width 2 is expected."""
+    x2 = Rng(5).uniforms(-1.0, 1.0, (10, 2))
+    return {
+        "x2": x2,
+        "x3": np.ones((4, 3)),
+        "ae": build_mlp_autoencoder([2, 3, 1, 3, 2], seed=0),
+        "ae2": build_mlp_autoencoder([2, 3, 2, 3, 2], seed=0),
+        "pca": pca_fit(x2, 1),
+        "pgm": tmp_path / "a.pgm",
+    }
+
+
+# entry point -> (call on width_inputs, argument name, wrong length, expected length)
+WIDTH_CASES = {
+    "sample_scores": (lambda c: sample_scores(c["ae"], c["x3"]), "samples", 3, 2),
+    "scan_latent_space": (lambda c: scan_latent_space(c["ae2"], c["x3"]), "training data", 3, 2),
+    "pgd_adversary": (lambda c: pgd_adversary(c["ae"], c["x3"], delta=1.0), "training data", 3, 2),
+    "latent_decode_adversary": (
+        lambda c: latent_decode_adversary(c["ae"], [1.0, 2.0, 3.0], c["x2"]), "latent point", 3, 1),
+    "construct_pca_adversary": (
+        lambda c: construct_pca_adversary(c["pca"], c["x2"], 1.0, direction=[1.0, 0.0, 0.0]),
+        "direction", 3, 1),
+    "optimal_biases": (
+        lambda c: optimal_biases(np.ones((2, 1)), np.ones((1, 2)), c["x3"]), "data", 3, 2),
+    "write_pgm": (lambda c: write_pgm(np.zeros(5), (2, 2), c["pgm"]), "image", 5, 4),
+    "reconstruction_loss": (
+        lambda c: reconstruction_loss([0.0, 1.0], [0.0, 1.0, 2.0]), "xhat", 3, 2),
+    "train": (lambda c: train(c["ae"], Dataset(x=c["x3"]), TrainConfig(epochs=1)), "dataset", 3, 2),
+    "nearest_row": (lambda c: nearest_row(c["x2"], c["x3"]), "query", 3, 2),
+    "encode_batch": (lambda c: encode_batch(c["ae"], c["x3"]), "input", 3, 2),
+    "decode_batch": (lambda c: decode_batch(c["ae"], c["x3"]), "latent", 3, 1),
+    "input_gradient": (lambda c: input_gradient(c["ae"], c["x3"]), "input", 3, 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WIDTH_CASES))
+def test_wrong_width_gives_one_message_naming_the_argument(width_inputs, entry):
+    call, name, got, want = WIDTH_CASES[entry]
+    with pytest.raises(InputDomainError, match=rf"^{name} has length {got}, expected {want}$"):
+        call(width_inputs)
+    assert not width_inputs["pgm"].exists()
+
+
+def test_as_rows_keeps_non_finite_rows_and_flags_a_single_vector():
+    rows, single = numlin.as_rows([np.nan, np.inf], 2, "input")
+    assert single and rows.shape == (1, 2) and np.isnan(rows[0, 0])
+    rows, single = numlin.as_rows(np.ones((3, 2)), 2, "input")
+    assert not single and rows.shape == (3, 2)
+    with pytest.raises(InputDomainError, match="input must be a vector or rows"):
+        numlin.as_rows(np.ones((2, 2, 2)), 2, "input")
