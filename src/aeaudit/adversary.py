@@ -301,7 +301,7 @@ def relu_toy_adversary(
     )
 
 
-def latent_decode_adversary(model: AutoencoderModel, z, x_train) -> AdversaryResult:
+def latent_decode_adversary(model: AutoencoderModel | PcaModel, z, x_train) -> AdversaryResult:
     """Decode a latent point and measure how the detector treats the result.
 
     The loss is the reconstruction loss of the decoded sample against its

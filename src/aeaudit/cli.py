@@ -18,8 +18,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .adversary import (
     construct_linear_ae_adversary,
@@ -158,11 +156,8 @@ def cmd_train(args) -> int:
             keep_digits=keep,
             max_per_digit=args.max_per_digit,
         )
-        side = int(np.sqrt(dataset.num_features))
-        if side * side != dataset.num_features:
-            raise InputDomainError("mnist-conv2 preset expects square images")
         model = build_conv_autoencoder(
-            image_hw=(side, side), latent_dim=args.latent_dim, seed=args.seed
+            image_hw=dataset.image_hw, latent_dim=args.latent_dim, seed=args.seed
         )
     else:
         dataset = load_csv(args.data, has_header=args.has_header)
@@ -295,8 +290,6 @@ def cmd_attack(args) -> int:
     elif args.method == "latent":
         if args.z is None:
             raise InputDomainError("--method latent needs --z")
-        if not isinstance(model, AutoencoderModel):
-            raise InputDomainError("--method latent needs an autoencoder model")
         result = latent_decode_adversary(model, args.z, dataset.x)
     else:
         if not isinstance(model, AutoencoderModel):
@@ -318,11 +311,11 @@ def cmd_attack(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(doc, out)
     if args.pgm:
-        n = result.a.shape[0]
-        side = int(np.sqrt(n))
-        if side * side != n:
-            raise InputDomainError("--pgm needs a square image-shaped adversary")
-        write_pgm(result.a, (side, side), args.pgm)
+        # a (C, H, W) model gives the image's (H, W); a flat one, a square side
+        hw = model.input_shape[1:] or (math.isqrt(model.input_dim),) * 2
+        if math.prod(hw) != model.input_dim:
+            raise InputDomainError("--pgm needs an image model or a square number of features")
+        write_pgm(result.a, hw, args.pgm)
     print(json.dumps(doc["verdict"], sort_keys=True))
     return EXIT_OK
 

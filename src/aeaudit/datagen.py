@@ -33,12 +33,14 @@ class Dataset:
         labels: Optional integer labels, length m.
         role: "train" or "test".
         feature_names: Optional column names, length n.
+        image_hw: Optional (rows, cols) of the image each row holds.
     """
 
     x: np.ndarray
     labels: np.ndarray | None = None
     role: str = "train"
     feature_names: list[str] | None = None
+    image_hw: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         self.x = numlin.as_matrix(self.x, "dataset")
@@ -54,6 +56,8 @@ class Dataset:
             raise InputDomainError(
                 f"{len(self.feature_names)} feature names for {self.x.shape[1]} columns"
             )
+        if self.image_hw is not None and math.prod(self.image_hw) != self.x.shape[1]:
+            raise InputDomainError(f"{self.image_hw} images for {self.x.shape[1]} columns")
 
     @property
     def num_samples(self) -> int:
@@ -213,7 +217,8 @@ def load_mnist(
     max_per_digit: int | None = None,
     role: str = "train",
 ) -> Dataset:
-    """Load an IDX image/label file pair as flat rows scaled to [0, 1].
+    """Load an IDX image/label file pair as flat rows scaled to [0, 1], with
+    the header's (rows, cols) as the dataset's image_hw.
 
     Rows keep file order. keep_digits filters labels; max_per_digit caps each
     retained digit, counting in file order.
@@ -270,7 +275,7 @@ def load_mnist(
         raise InputDomainError("no samples left after digit filtering")
 
     x = pixels[taken].astype(np.float64) / 255.0
-    return Dataset(x=x, labels=labels[taken].astype(np.int64), role=role)
+    return Dataset(x=x, labels=labels[taken].astype(np.int64), role=role, image_hw=(rows, cols))
 
 
 def save_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:

@@ -20,10 +20,12 @@ numpy's stacked matmul runs one GEMM per sample and the scatter never mixes
 samples, so a chunk gives the bits the whole batch gives. Dense layers stay
 whole-batch: a GEMM's bits can depend on its row count.
 
-Every layer caches its input and output; conv2d's backward rebuilds the
-patches from the input. An activation's forward may overwrite its argument
-(bias and activation are applied in place on a fresh pre-activation), and
-its backward needs only the output.
+Every layer caches its input and output. `backward(dy, cache, grads)`
+returns dx; given a dict of arrays keyed and shaped like params(), it writes
+the parameter gradients into them, and given None it skips them (conv2d then
+skips rebuilding its input's patches too). An activation's forward may
+overwrite its argument (bias and activation are applied in place on a fresh
+pre-activation), and its backward needs only the output.
 """
 
 from __future__ import annotations
@@ -196,12 +198,13 @@ class DenseLayer(Layer):
         y = ACTIVATION_FNS[self.activation][0](z)
         return y, (x, y)
 
-    def backward(self, dy: np.ndarray, cache):
+    def backward(self, dy: np.ndarray, cache, grads):
         x, y = cache
         dz = ACTIVATION_FNS[self.activation][1](dy, y)
-        dx = dz @ self.weight.T
-        grads = {"weight": x.T @ dz, "bias": dz.sum(axis=0)}
-        return dx, grads
+        if grads is not None:
+            np.matmul(x.T, dz, out=grads["weight"])
+            dz.sum(axis=0, out=grads["bias"])
+        return dz @ self.weight.T
 
 
 def _image_shape(in_shape) -> tuple[int, int, int]:
@@ -285,18 +288,18 @@ class Conv2dLayer(_KernelLayer):
         y = y.reshape(b, co, ho, wo)
         return y, (x, y)
 
-    def backward(self, dy: np.ndarray, cache):
+    def backward(self, dy: np.ndarray, cache, grads):
         x, y = cache
         b = dy.shape[0]
         co = self.out_shape[0]
         dz = ACTIVATION_FNS[self.activation][1](dy, y).reshape(b, co, -1)
-        cols = im2col(x, self.kernel, self.stride, self.padding)
-        wmat = self.weight.reshape(co, -1)
-        dwmat = np.matmul(dz, cols.transpose(0, 2, 1)).sum(axis=0)
-        db = dz.sum(axis=(0, 2))
-        dcols = wmat.T @ dz
-        dx = col2im(dcols, (b, *self.in_shape), self.kernel, self.stride, self.padding)
-        return dx, {"weight": dwmat.reshape(self.weight.shape), "bias": db}
+        if grads is not None:
+            cols = im2col(x, self.kernel, self.stride, self.padding)
+            dw = grads["weight"].reshape(co, -1)
+            np.matmul(dz, cols.transpose(0, 2, 1)).sum(axis=0, out=dw)
+            dz.sum(axis=(0, 2), out=grads["bias"])
+        dcols = self.weight.reshape(co, -1).T @ dz
+        return col2im(dcols, (b, *self.in_shape), self.kernel, self.stride, self.padding)
 
 
 class Upconv2dLayer(_KernelLayer):
@@ -340,18 +343,17 @@ class Upconv2dLayer(_KernelLayer):
             y[c] = act(z)
         return y, (x, y)
 
-    def backward(self, dy: np.ndarray, cache):
+    def backward(self, dy: np.ndarray, cache, grads):
         x, y = cache
         b = dy.shape[0]
         ci = self.in_shape[0]
-        x_mat = x.reshape(b, ci, -1)
         dz = ACTIVATION_FNS[self.activation][1](dy, y)
-        db = dz.sum(axis=(0, 2, 3))
         dcols = im2col(dz, self.kernel, self.stride, self.padding)  # (B, Co*k*k, H*W)
-        wmat = self.weight.reshape(ci, -1)
-        dwmat = np.matmul(x_mat, dcols.transpose(0, 2, 1)).sum(axis=0)
-        dx = (wmat @ dcols).reshape(b, *self.in_shape)
-        return dx, {"weight": dwmat.reshape(self.weight.shape), "bias": db}
+        if grads is not None:
+            dw = grads["weight"].reshape(ci, -1)
+            np.matmul(x.reshape(b, ci, -1), dcols.transpose(0, 2, 1)).sum(axis=0, out=dw)
+            dz.sum(axis=(0, 2, 3), out=grads["bias"])
+        return (self.weight.reshape(ci, -1) @ dcols).reshape(b, *self.in_shape)
 
 
 class FlattenLayer(Layer):
@@ -367,8 +369,8 @@ class FlattenLayer(Layer):
             raise InputDomainError(f"flatten input shape {x.shape[1:]} != {self.in_shape}")
         return x.reshape(x.shape[0], -1), None
 
-    def backward(self, dy: np.ndarray, cache):
-        return dy.reshape(dy.shape[0], *self.in_shape), {}
+    def backward(self, dy: np.ndarray, cache, grads):
+        return dy.reshape(dy.shape[0], *self.in_shape)
 
 
 class ReshapeLayer(Layer):
@@ -384,8 +386,8 @@ class ReshapeLayer(Layer):
             raise InputDomainError(f"reshape input width {x.shape[1]} != {self.in_shape}")
         return x.reshape(x.shape[0], *self.out_shape), None
 
-    def backward(self, dy: np.ndarray, cache):
-        return dy.reshape(dy.shape[0], -1), {}
+    def backward(self, dy: np.ndarray, cache, grads):
+        return dy.reshape(dy.shape[0], -1)
 
 
 LAYER_KINDS = {

@@ -66,6 +66,10 @@ class PcaModel:
         return self.mean.shape[0]
 
     @property
+    def input_shape(self) -> tuple[int]:
+        return (self.input_dim,)
+
+    @property
     def latent_dim(self) -> int:
         return self.basis.shape[1]
 
@@ -263,14 +267,15 @@ def build_conv_autoencoder(
 ) -> AutoencoderModel:
     """Two conv layers down, dense to the latent, mirrored back up.
 
-    3x3 kernels with stride 2 and padding 1 halve each spatial dimension,
-    so height and width must be even and at least 4. The final upconv ends
-    in a sigmoid to keep pixels in (0, 1); the dense links to and from the
-    latent are linear.
+    3x3 kernels with stride 2 and padding 1 halve each spatial dimension
+    twice, and the upconvs double it back only if both halvings are exact,
+    so height and width must be positive multiples of 4. The final upconv
+    ends in a sigmoid to keep pixels in (0, 1); the dense links to and from
+    the latent are linear.
     """
     h, w = image_hw
-    if h < 4 or w < 4 or h % 2 or w % 2:
-        raise InputDomainError(f"image sides must be even and >= 4, got {image_hw}")
+    if not (h > 0 and w > 0 and h % 4 == w % 4 == 0):
+        raise InputDomainError(f"image sides must be positive multiples of 4, got {image_hw}")
     if latent_dim < 1:
         raise InputDomainError(f"latent_dim must be >= 1, got {latent_dim}")
     c1, c2 = channels

@@ -1,9 +1,9 @@
 """Backpropagation, optimizers, and the deterministic training loop.
 
 Training works in the network's own space: when a model carries
-standardization, the dataset is standardized once up front and the reported
-losses are in that space. Scoring (anomaly module) always reports losses in
-the raw input space.
+standardization, each batch is standardized on its way into the network and
+the reported losses are in that space. Scoring (anomaly module) always
+reports losses in the raw input space.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass, fields
 
@@ -68,8 +69,11 @@ class TrainConfig:
                 isinstance(value, bool) and f.type != "bool"
             ):
                 raise InputDomainError(f"{f.name} must be {f.type}, got {value!r}")
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise InputDomainError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+            # compared exactly: a huge int would overflow float() later
+            if f.type == "float" and not abs(value) <= sys.float_info.max:
+                raise InputDomainError(f"{f.name} must be finite, got {value!r}")
+        if not self.learning_rate > 0:
+            raise InputDomainError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise InputDomainError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -81,6 +85,10 @@ class TrainConfig:
                 raise InputDomainError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
         if not self.eps > 0:
             raise InputDomainError(f"eps must be > 0, got {self.eps!r}")
+        if self.checkpoint_interval < 0:
+            raise InputDomainError("checkpoint_interval must be >= 0")
+        if self.checkpoint_interval and not self.checkpoint_dir:
+            raise InputDomainError("checkpoint_interval needs a checkpoint_dir")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrainConfig":
@@ -126,20 +134,23 @@ def batch_loss(x: np.ndarray, xhat: np.ndarray) -> float:
     return float(np.sum(d * d)) / (x.shape[0] * x.shape[1])
 
 
-def backward(model: AutoencoderModel, batch: np.ndarray) -> tuple[float, list[dict]]:
+def backward(model: AutoencoderModel, batch, grads: list | None = None) -> tuple[float, list]:
     """Loss and gradients of the mean batch loss for every parameter.
 
-    Gradients come back as one dict per layer (encoder then decoder), with
-    the same keys and shapes as layer.params(). Standardization, when
-    present, is applied to the batch before the network, so gradients are
-    of the network-space loss.
+    Gradients are one dict per layer (encoder then decoder) keyed and shaped
+    like layer.params(): `grads` as `_bind` lays it out, else fresh arrays.
+    Standardization, when present, is applied to the batch before the
+    network, so gradients are of the network-space loss.
     """
+    if grads is None:
+        grads = [{k: np.empty_like(v) for k, v in layer.params().items()}
+                 for layer in model.layers()]
     caches: list = []
     a, out = _network_forward(model, batch, caches)
     b, n = a.shape
     dy = (2.0 / (b * n)) * (out - a)
     loss = batch_loss(a, out)
-    _, grads = _backprop(model, dy, caches)
+    _backprop(model, dy, caches, grads)
     return loss, grads
 
 
@@ -152,15 +163,15 @@ def _network_forward(model: AutoencoderModel, batch, caches: list | None = None)
     return a, out.reshape(a.shape[0], -1)
 
 
-def _backprop(model: AutoencoderModel, dy: np.ndarray, caches: list):
-    """Flat output gradient -> (flat input gradient, per-layer parameter gradients)."""
+def _backprop(model: AutoencoderModel, dy: np.ndarray, caches: list, grads: list[dict] | None):
+    """Flat output gradient -> flat input gradient; each layer writes its
+    parameter gradients into its dict of `grads`, or skips them when None."""
     layers = model.layers()
-    grads: list[dict] = [None] * len(layers)
     # the network output was flattened for the loss; undo that first
     dx = dy.reshape(dy.shape[0], *model.input_shape)
     for i in range(len(layers) - 1, -1, -1):
-        dx, grads[i] = layers[i].backward(dx, caches[i])
-    return dx.reshape(dy.shape[0], -1), grads
+        dx = layers[i].backward(dx, caches[i], None if grads is None else grads[i])
+    return dx.reshape(dy.shape[0], -1)
 
 
 def input_gradient(model: AutoencoderModel, a) -> tuple[float | np.ndarray, np.ndarray]:
@@ -184,96 +195,71 @@ def input_gradient(model: AutoencoderModel, a) -> tuple[float | np.ndarray, np.n
     upstream = (2.0 / n) * r
     if std is not None:
         upstream = upstream * std.std  # through the de-standardization
-    dx, _ = _backprop(model, upstream, caches)
+    dx = _backprop(model, upstream, caches, None)
     if std is not None:
         dx = dx / std.std  # through the standardization
     grad = (2.0 / n) * r - dx
     return (float(loss[0]), grad[0]) if single else (loss, grad)
 
 
-def _pack(params: list[dict]) -> np.ndarray:
-    """Copy every tensor into one contiguous float64 buffer.
-
-    Each dict entry is rebound to a view into the buffer, so updating the
-    buffer in place updates every tensor the dicts name.
+def _bind(layers) -> tuple[np.ndarray, np.ndarray, list[dict]]:
+    """(params, grad, grads): one flat parameter buffer and one flat gradient
+    buffer laid out alike. Every parameter is copied into `params` and its
+    layer attribute rebound to its view, so stepping the buffer in place
+    updates the layers; grads[i] maps layer i's parameter names to their
+    views of `grad`.
     """
-    flat = np.empty(sum(p.size for d in params for p in d.values()), dtype=np.float64)
-    offset = 0
-    for d in params:
-        for name, p in d.items():
-            view = flat[offset : offset + p.size].reshape(p.shape)
-            view[...] = p
-            d[name] = view
-            offset += p.size
-    return flat
+    size = sum(p.size for layer in layers for p in layer.params().values())
+    params, grad = np.empty(size), np.empty(size)
+    grads, offset = [], 0
+    for layer in layers:
+        grads.append({})
+        for name, p in layer.params().items():
+            end = offset + p.size
+            params[offset:end] = p.ravel()
+            setattr(layer, name, params[offset:end].reshape(p.shape))
+            grads[-1][name] = grad[offset:end].reshape(p.shape)
+            offset = end
+    return params, grad, grads
 
 
 class Sgd:
-    """Plain gradient descent on one flat parameter buffer (see `_pack`)."""
+    """Plain gradient descent on a flat parameter vector, in place."""
 
-    def __init__(self, params: list[dict], learning_rate: float) -> None:
-        self.params = params
-        self.flat = _pack(params)
+    def __init__(self, flat: np.ndarray, learning_rate: float) -> None:
+        self.flat = flat
         self.lr = learning_rate
 
-    def step(self, grads: list[dict]) -> None:
-        self.flat -= self.lr * _concat(self.params, grads)
+    def step(self, grad: np.ndarray) -> None:
+        self.flat -= self.lr * grad
 
 
 class Adam:
     """Adam with bias correction; a zero gradient on fresh state is a no-op.
 
-    The parameters live in one flat buffer (see `_pack`) and the moments are
-    flat vectors of the same length, so a step is a few whole-vector
-    operations with the textbook per-element formulas.
+    Steps a flat parameter vector in place; the moments are flat vectors of
+    the same length, so a step is a few whole-vector operations with the
+    textbook per-element formulas.
     """
 
     def __init__(
-        self,
-        params: list[dict],
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
+        self, flat: np.ndarray, learning_rate: float, beta1=0.9, beta2=0.999, eps=1e-8
     ) -> None:
-        self.params = params
-        self.flat = _pack(params)
+        self.flat = flat
         self.lr = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
 
-    def step(self, grads: list[dict]) -> None:
+    def step(self, g: np.ndarray) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1**self.t
-        c2 = 1.0 - b2**self.t
-        g = _concat(self.params, grads)
         self.m = b1 * self.m + (1.0 - b1) * g
         self.v = b2 * self.v + (1.0 - b2) * g**2
-        mhat = self.m / c1
-        vhat = self.v / c2
+        mhat = self.m / (1.0 - b1**self.t)
+        vhat = self.v / (1.0 - b2**self.t)
         self.flat -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-def _concat(params: list[dict], grads: list[dict]) -> np.ndarray:
-    """Gradients flattened in the buffer order of `params`."""
-    return np.concatenate([g[name].reshape(-1) for p, g in zip(params, grads) for name in p])
-
-
-def _make_optimizer(model: AutoencoderModel, config: TrainConfig):
-    """Optimizer over the model's parameters, with every layer rebound to its buffer views."""
-    layers = model.layers()
-    params = [layer.params() for layer in layers]
-    if config.optimizer == "sgd":
-        opt = Sgd(params, config.learning_rate)
-    else:
-        opt = Adam(params, config.learning_rate, config.beta1, config.beta2, config.eps)
-    for layer, p in zip(layers, params):
-        for name, view in p.items():
-            setattr(layer, name, view)
-    return opt
 
 
 def _first_non_finite(model: AutoencoderModel) -> str:
@@ -305,7 +291,9 @@ def train(
     model = copy.deepcopy(model)
     x, _ = numlin.as_rows(dataset.x, model.input_dim, "dataset")
     m = x.shape[0]
-    opt = _make_optimizer(model, config)
+    params, grad, grads = _bind(model.layers())
+    opt = (Sgd(params, config.learning_rate) if config.optimizer == "sgd"
+           else Adam(params, config.learning_rate, config.beta1, config.beta2, config.eps))
     block = max(SHUFFLE_BLOCK_EPOCHS, SHUFFLE_BLOCK_INDICES // max(m, 1))
     # blocks of equal size, so the last one is not left with a few streams
     block = math.ceil(config.epochs / max(1, math.ceil(config.epochs / block)))
@@ -325,8 +313,8 @@ def train(
             total = 0.0
             for lo in range(0, m, config.batch_size):
                 batch = xe[lo : lo + config.batch_size]
-                loss, grads = backward(model, batch)
-                opt.step(grads)
+                loss, _ = backward(model, batch, grads)
+                opt.step(grad)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(
                         f"non-finite loss in epoch {epoch}; last good epoch "
@@ -334,18 +322,14 @@ def train(
                         last_good_epoch=epoch - 1,
                     )
                 total += loss * batch.shape[0]
-            if not np.all(np.isfinite(opt.flat)):
+            if not np.all(np.isfinite(params)):
                 raise TrainingDivergedError(
                     f"non-finite parameter {_first_non_finite(model)} in epoch {epoch}; "
                     f"last good epoch {epoch - 1}",
                     last_good_epoch=epoch - 1,
                 )
             epoch_losses.append(total / m)
-            if (
-                config.checkpoint_interval
-                and config.checkpoint_dir
-                and (epoch + 1) % config.checkpoint_interval == 0
-            ):
+            if config.checkpoint_interval and (epoch + 1) % config.checkpoint_interval == 0:
                 save_model(model, f"{config.checkpoint_dir}/epoch_{epoch + 1:06d}.json")
     wall = time.perf_counter() - started
     final = epoch_losses[-1] if epoch_losses else float("nan")

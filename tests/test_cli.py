@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from aeaudit.cli import main
-from aeaudit.datagen import Dataset, load_csv, save_csv, save_idx
+from aeaudit.datagen import Dataset, load_csv, load_mnist, save_csv, save_idx
 from aeaudit.layers import DenseLayer
 from aeaudit.models import (
     AutoencoderModel,
@@ -240,6 +240,50 @@ def test_train_conv_preset_rejects_latent_dim_below_1(tmp_path, capsys, latent_d
     assert code == 2
     assert f"latent_dim must be >= 1, got {latent_dim}" in capsys.readouterr().err
     assert not (tmp_path / "conv.json").exists()
+
+
+def _idx_pair(tmp_path, shape):
+    images = (Rng(15).uniforms(0.0, 1.0, shape) * 255).astype(np.uint8)
+    img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+    save_idx(images, np.zeros(shape[0], dtype=np.uint8), img, lab)
+    return img, lab
+
+
+def test_conv_preset_and_pgm_take_image_geometry_from_idx_header(tmp_path):
+    # 4x16 images have a square pixel count; they must not train as 8x8
+    img, lab = _idx_pair(tmp_path, (6, 4, 16))
+    model_path, pixels, pgm = tmp_path / "conv.json", tmp_path / "pixels.csv", tmp_path / "a.pgm"
+    assert run("train", "--preset", "mnist-conv2", "--mnist-images", img, "--mnist-labels", lab,
+               "--epochs", 1, "-o", model_path) == 0
+    assert load_model(model_path).input_shape == (1, 4, 16)
+    save_csv(load_mnist(img, lab), pixels)
+    assert run("attack", "--model", model_path, "--data", pixels, "--method", "latent",
+               "--z", "0.1,0.2", "-o", tmp_path / "a.json", "--pgm", pgm) == 0
+    assert pgm.read_bytes().startswith(b"P5\n16 4\n255\n")
+
+
+@pytest.mark.parametrize("hw", [(2, 8), (6, 8)])
+def test_conv_preset_rejects_sides_not_multiples_of_4(tmp_path, capsys, hw):
+    img, lab = _idx_pair(tmp_path, (6, *hw))
+    code = run("train", "--preset", "mnist-conv2", "--mnist-images", img, "--mnist-labels", lab,
+               "--epochs", 1, "-o", tmp_path / "conv.json")
+    assert code == 2
+    assert "image sides must be positive multiples of 4" in capsys.readouterr().err
+    assert not (tmp_path / "conv.json").exists()
+
+
+@pytest.mark.parametrize("flags", [("--checkpoint-every", -5, "--checkpoint-dir", "ck"),
+                                   ("--checkpoint-every", 5)])
+def test_train_rejects_checkpoint_settings_that_would_misfire(tmp_path, gaussian_csv, capsys,
+                                                             flags):
+    # a negative interval wrote checkpoints (Python's % takes a negative
+    # divisor) and an interval without a directory silently wrote none
+    flags = [tmp_path / f if f == "ck" else f for f in flags]
+    code = run("train", "--data", gaussian_csv, "--arch", "2,1,2", "--epochs", 10, *flags,
+               "-o", tmp_path / "m.json")
+    assert code == 2
+    assert "checkpoint_interval" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "ck").exists()
 
 
 # --- score ------------------------------------------------------------------------
@@ -920,3 +964,17 @@ def test_attack_pgm_export(tmp_path):
     )
     assert code == 0
     assert pgm.read_bytes().startswith(b"P5\n8 8\n255\n")
+
+
+def test_attack_latent_on_pca_model(tmp_path, capsys):
+    # the latent attack needs only decode_batch and sample_scores, which PCA has
+    data, model = tmp_path / "g.csv", tmp_path / "pca.json"
+    assert run("gen-data", "--family", "gaussian", "--seed", 7, "--cov", "4,0,0,0.25",
+               "-o", data) == 0
+    save_model(pca_fit(load_csv(data).x, d=1), model)
+    capsys.readouterr()
+    code = run("attack", "--model", model, "--data", data, "--method", "latent", "--z=50",
+               "-o", tmp_path / "lat.json")
+    assert code == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["undetected"] is True and verdict["score"] < 1e-20

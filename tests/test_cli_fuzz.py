@@ -1,8 +1,11 @@
 """Malformed-input fuzzing of the command-line interface.
 
 Every subcommand is called in-process with malformed input: number lists
-that do not parse or have the wrong count, model documents with one field
-removed or retyped, and truncated IDX and CSV files. Whatever the input,
+that do not parse or have the wrong count, model documents and train
+configs with one field removed or retyped, train configs with unknown keys,
+score baselines that are truncated, lack or repeat their score column, hold
+non-numeric or non-finite cells or are binary, and truncated IDX and CSV
+files. Whatever the input,
 the exit code must never be 1 (internal error): a malformed input is a
 usage or input error (2), and an input that happens to stay well formed
 runs as usual.
@@ -11,6 +14,8 @@ runs as usual.
 import contextlib
 import io
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from aeaudit.models import (
     save_model,
 )
 from aeaudit.rng import Rng
+from aeaudit.training import TrainConfig
 
 FUZZ = settings(max_examples=40)
 
@@ -188,3 +194,62 @@ def test_truncated_idx_or_csv_never_exits_1(files, which, keep, command):
         argv = [command, "--model", root / "mlp.json", "--data", root / "cut-data2.csv",
                 *FAST.get(command, []), "-o", root / ("out" if command == "audit" else "out.csv")]
     assert_not_internal(argv)
+
+
+# --- train configs ------------------------------------------------------------------
+# every field against every value: a handful of bad pairs among a few
+# hundred would slip past a random sample
+
+CONFIG = {**{f.name: f.default for f in fields(TrainConfig)}, "epochs": 1, "batch_size": 4}
+# the one string value: a directory under the fixture's root, since train
+# creates its checkpoint_dir
+PATH = object()
+HUGE = (2**64, 10**400)  # never an epoch count: training would not end
+CONFIG_VALUES = [REMOVE, PATH, None, True, [], [1.0], {}, float("nan"), float("inf"),
+                 -1, 0, 1.5, *HUGE]
+
+
+def broken_configs():
+    """Every config with one field removed or retyped, and some with an unknown key."""
+    for name in sorted(CONFIG):
+        for value in CONFIG_VALUES:
+            if name != "epochs" or not any(value is h for h in HUGE):
+                yield _mutated(dict(CONFIG), (name,), value)
+    for key in ("momentum", "", "Epochs"):
+        yield {**CONFIG, key: 0}
+
+
+def test_malformed_train_config_never_exits_1(files):
+    root, _ = files
+    for doc in broken_configs():
+        doc = {k: str(root / "ck") if v is PATH else v for k, v in doc.items()}
+        (root / "config.json").write_text(json.dumps(doc))
+        assert_not_internal(["train", "--data", root / "data2.csv", "--arch", "2,1,2",
+                             *FAST["train"], "--config", root / "config.json",
+                             "-o", root / "out.json"])
+
+
+# --- score baselines ----------------------------------------------------------------
+
+BASELINE_HEADERS = ["index,score,label", "score", "index,label", "score,score",
+                    "index,score,score", "", "Score", " score"]
+BASELINE_CELLS = ["0", "1.5", "-2", "1e-300", "1e999", "nan", "inf", "-inf", "x", "", " "]
+
+
+@st.composite
+def broken_baselines(draw):
+    """Baseline CSV bytes: binary, or a table that may be cut short."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    rows = st.lists(st.sampled_from(BASELINE_CELLS), max_size=4).map(",".join)
+    text = "\n".join([draw(st.sampled_from(BASELINE_HEADERS)), *draw(st.lists(rows, max_size=4))])
+    return text.encode()[: math.ceil(draw(st.floats(0.0, 1.0)) * len(text))]
+
+
+@FUZZ
+@given(data=broken_baselines())
+def test_malformed_score_baseline_never_exits_1(files, data):
+    root, _ = files
+    (root / "baseline.csv").write_bytes(data)
+    assert_not_internal(["score", "--model", root / "pca.json", "--data", root / "data2.csv",
+                         "--baseline", root / "baseline.csv", "-o", root / "out.csv"])

@@ -17,8 +17,11 @@ from aeaudit.errors import InputDomainError
 from aeaudit.layers import (
     ACTIVATION_FNS,
     ACTIVATIONS,
+    LAYER_KINDS,
     Conv2dLayer,
     DenseLayer,
+    FlattenLayer,
+    ReshapeLayer,
     Upconv2dLayer,
     col2im,
     conv_output_hw,
@@ -27,6 +30,12 @@ from aeaudit.layers import (
 
 RTOL = 1e-12
 ATOL = 1e-14
+
+
+def backward_with_grads(layer, dy, cache):
+    """(dx, parameter gradients) of one backward pass, into fresh arrays."""
+    grads = {k: np.empty_like(v) for k, v in layer.params().items()}
+    return layer.backward(dy, cache, grads), grads
 
 
 def _reference_indices(c, h, w, kernel, stride, padding):
@@ -165,7 +174,7 @@ def test_conv2d_matches_einsum_reference(in_shape, co, kernel, stride, padding):
     x = rng.standard_normal((4, *in_shape))
     dy = rng.standard_normal((4, *layer.out_shape))
     z, cache = layer.forward(x)
-    dx, grads = layer.backward(dy, cache)
+    dx, grads = backward_with_grads(layer, dy, cache)
     ref_z, ref_dx, ref_dw, ref_db = reference_conv2d(layer, x, dy)
     np.testing.assert_allclose(z, ref_z, rtol=RTOL, atol=ATOL)
     np.testing.assert_allclose(dx, ref_dx, rtol=RTOL, atol=ATOL)
@@ -194,7 +203,7 @@ def test_upconv2d_matches_einsum_reference(
     x = rng.standard_normal((4, *in_shape))
     dy = rng.standard_normal((4, *layer.out_shape))
     z, cache = layer.forward(x)
-    dx, grads = layer.backward(dy, cache)
+    dx, grads = backward_with_grads(layer, dy, cache)
     ref_z, ref_dx, ref_dw, ref_db = reference_upconv2d(layer, x, dy)
     np.testing.assert_allclose(z, ref_z, rtol=RTOL, atol=ATOL)
     np.testing.assert_allclose(dx, ref_dx, rtol=RTOL, atol=ATOL)
@@ -279,7 +288,7 @@ def assert_layer_bytes_equal(layer, reference, x, dy, per_sample):
     for budget in (1, 3 * per_sample, 2**30):
         with mock.patch.object(numlin, "SCRATCH_ELEMENTS", budget):
             y, cache = layer.forward(x)
-            dx, grads = layer.backward(dy, cache)
+            dx, grads = backward_with_grads(layer, dy, cache)
         got = (y, dx, grads["weight"], grads["bias"])
         for g, w in zip(got, want):
             assert g.shape == w.shape
@@ -372,7 +381,7 @@ def test_weight_gradient_matches_tensordot(case):
     x = rng.standard_normal((8, *in_shape))
     dy = rng.standard_normal((8, *layer.out_shape))
     _, cache = layer.forward(x)
-    _, grads = layer.backward(dy, cache)
+    _, grads = backward_with_grads(layer, dy, cache)
     if layer.kind == "conv2d":
         pair = (dy.reshape(8, co, -1), im2col(x, kernel, stride, padding))
     else:
@@ -388,7 +397,7 @@ def test_dense_in_place_activation_bytes_equal_whole_batch(act):
     x = rng.standard_normal((17, 6)) * 3.0
     dy = rng.standard_normal((17, 4))
     y, cache = layer.forward(x)
-    dx, grads = layer.backward(dy, cache)
+    dx, grads = backward_with_grads(layer, dy, cache)
     got = (y, dx, grads["weight"], grads["bias"])
     for g, w in zip(got, whole_batch_dense(layer, x, dy)):
         assert g.tobytes() == w.tobytes()
@@ -438,3 +447,30 @@ def test_conv_forward_peak_memory_within_output_and_budget():
         finally:
             tracemalloc.stop()
         assert peak <= y.nbytes + 4 * budget, (layer.kind, peak)
+
+
+def _one_layer_of_each_kind():
+    rng = np.random.default_rng(21)
+    layers = [
+        DenseLayer(rng.standard_normal((6, 4)), rng.standard_normal(4), "relu"),
+        Conv2dLayer(rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3), 2, 1, "sigmoid",
+                    (2, 7, 6)),
+        Upconv2dLayer(rng.standard_normal((2, 3, 3, 3)), rng.standard_normal(3), 2, 1, 1, "relu",
+                      (2, 4, 3)),
+        FlattenLayer((2, 3, 4)),
+        ReshapeLayer((2, 3, 4)),
+    ]
+    assert {layer.kind for layer in layers} == set(LAYER_KINDS)
+    return layers
+
+
+@pytest.mark.parametrize("layer", _one_layer_of_each_kind(), ids=lambda layer: layer.kind)
+def test_backward_dx_bytes_equal_with_and_without_parameter_gradients(layer):
+    rng = np.random.default_rng(22)
+    in_shape = (layer.in_shape,) if isinstance(layer.in_shape, int) else layer.in_shape
+    x = rng.standard_normal((5, *in_shape))
+    y, cache = layer.forward(x)
+    dy = rng.standard_normal(y.shape)
+    dx, _ = backward_with_grads(layer, dy, cache)
+    assert dx.shape == x.shape
+    assert layer.backward(dy, cache, None).tobytes() == dx.tobytes()

@@ -8,7 +8,7 @@ import pytest
 from aeaudit import training
 from aeaudit.datagen import Dataset, SyntheticSpec, generate
 from aeaudit.errors import InputDomainError, TrainingDivergedError
-from aeaudit.layers import DenseLayer
+from aeaudit.layers import LAYER_KINDS, DenseLayer
 from aeaudit.models import (
     AutoencoderModel,
     Preprocessing,
@@ -23,6 +23,7 @@ from aeaudit.training import (
     Adam,
     Sgd,
     TrainConfig,
+    _bind,
     backward,
     batch_loss,
     check_gradients,
@@ -175,14 +176,60 @@ def test_input_gradient_on_rows_matches_per_row_calls():
 
 def test_adam_zero_gradient_is_exact_noop():
     model = build_mlp_autoencoder([2, 3, 1, 3, 2], seed=5)
+    flat, grad, _ = _bind(model.layers())
     params = [l.params() for l in model.layers()]
     before = [{k: v.copy() for k, v in p.items()} for p in params]
-    opt = Adam(params, learning_rate=0.1)
-    zero = [{k: np.zeros_like(v) for k, v in p.items()} for p in params]
-    opt.step(zero)
+    opt = Adam(flat, learning_rate=0.1)
+    grad[...] = 0.0
+    opt.step(grad)
     for p, b in zip(params, before):
         for k in p:
             assert np.array_equal(p[k], b[k])
+
+
+def _spy_on_layer_backward(monkeypatch) -> list:
+    """(layer, grads) of every layer backward call from now on."""
+    calls = []
+    for cls in LAYER_KINDS.values():
+        def spy(self, dy, cache, grads, _original=cls.backward):
+            calls.append((self, grads))
+            return _original(self, dy, cache, grads)
+        monkeypatch.setattr(cls, "backward", spy)
+    return calls
+
+
+def test_input_gradient_asks_no_layer_for_parameter_gradients(monkeypatch):
+    model = build_conv_autoencoder(image_hw=(8, 8), channels=(2, 3), latent_dim=2, seed=4)
+    calls = _spy_on_layer_backward(monkeypatch)
+    input_gradient(model, Rng(3).uniforms(0.0, 1.0, (3, 64)))
+    assert [layer for layer, _ in calls] == model.layers()[::-1]
+    assert all(grads is None for _, grads in calls)
+
+
+def test_train_layers_write_into_views_of_the_one_buffer_adam_steps(monkeypatch):
+    model = build_conv_autoencoder(image_hw=(8, 8), channels=(2, 3), latent_dim=2, seed=4)
+    calls = _spy_on_layer_backward(monkeypatch)
+    steps = []
+    adam_step = Adam.step
+    monkeypatch.setattr(Adam, "step", lambda self, g: (steps.append(g), adam_step(self, g)))
+    trained, _ = train(model, Dataset(x=Rng(5).uniforms(0.0, 1.0, (10, 64))),
+                       TrainConfig(epochs=2, batch_size=4))
+    assert len(steps) == 6 and all(g is steps[0] for g in steps)
+    buffer = steps[0]
+    layers = trained.layers()
+    assert len(calls) == 6 * len(layers)
+    first = {}
+    for layer, grads in calls:
+        assert layer in layers and first.setdefault(id(layer), grads) is grads
+        assert grads.keys() == layer.params().keys()
+        for name, view in grads.items():
+            assert view.base is buffer and view.shape == getattr(layer, name).shape
+    # the views tile the buffer: each element lies in exactly one of them
+    buffer[...] = 0.0
+    for grads in first.values():
+        for view in grads.values():
+            view += 1.0
+    assert np.all(buffer == 1.0)
 
 
 def _reference_step(kind, params, grads, state, lr, t, b1=0.9, b2=0.999, eps=1e-8):
@@ -207,16 +254,20 @@ def test_flat_optimizer_matches_per_tensor_reference(kind):
     ]
     rng = Rng(12)
     for model in models:
+        flat, grad, views = _bind(model.layers())
         params = [l.params() for l in model.layers()]
         ref = [{k: v.copy() for k, v in p.items()} for p in params]
         state = {
             "m": [{k: np.zeros_like(v) for k, v in p.items()} for p in params],
             "v": [{k: np.zeros_like(v) for k, v in p.items()} for p in params],
         }
-        opt = Adam(params, learning_rate=0.05) if kind == "adam" else Sgd(params, 0.05)
+        opt = Adam(flat, learning_rate=0.05) if kind == "adam" else Sgd(flat, 0.05)
         for t in range(1, 7):
             grads = [{k: rng.normals(v.shape) for k, v in p.items()} for p in ref]
-            opt.step(grads)
+            for view, g in zip(views, grads):
+                for k in view:
+                    view[k][...] = g[k]
+            opt.step(grad)
             _reference_step(kind, ref, grads, state, 0.05, t)
             for p, r in zip(params, ref):
                 for k in p:
