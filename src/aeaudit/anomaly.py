@@ -26,21 +26,22 @@ CONVENTIONS = ("mean", "sum")
 
 
 @dataclass
-class ScoreEntry:
-    index: int
-    score: float
-    label: int | None
-
-
-@dataclass
 class ScoreTable:
-    """Per-sample anomaly scores, sorted descending (most anomalous first)."""
+    """Per-sample anomaly scores, most anomalous first: `order` holds sample
+    indices (ties in dataset order), and `scores` and `labels` (or None) follow it."""
 
-    entries: list[ScoreEntry]
-    min_score: float
-    max_score: float
-    role: str
+    order: np.ndarray
+    scores: np.ndarray
+    labels: np.ndarray | None
     convention: str
+
+    @property
+    def min_score(self) -> float:
+        return float(self.scores[-1])
+
+    @property
+    def max_score(self) -> float:
+        return float(self.scores[0])
 
 
 @dataclass
@@ -77,7 +78,7 @@ def sample_scores(model, x: np.ndarray, convention: str = "mean") -> np.ndarray:
 
 
 def score(model, dataset: Dataset, convention: str = "mean") -> ScoreTable:
-    """Score every sample of a dataset; table is sorted by descending score.
+    """Score every sample of a dataset, training data or not, most anomalous first.
 
     Raises:
         NumericalError: A score overflowed to a non-finite value.
@@ -87,19 +88,10 @@ def score(model, dataset: Dataset, convention: str = "mean") -> ScoreTable:
     if not np.all(np.isfinite(scores)):
         raise NumericalError(f"{int(np.sum(~np.isfinite(scores)))} scores are non-finite")
     order = np.argsort(-scores, kind="stable")
-    entries = [
-        ScoreEntry(
-            index=int(i),
-            score=float(scores[i]),
-            label=None if dataset.labels is None else int(dataset.labels[i]),
-        )
-        for i in order
-    ]
     return ScoreTable(
-        entries=entries,
-        min_score=float(scores.min()),
-        max_score=float(scores.max()),
-        role=dataset.role,
+        order=order,
+        scores=scores[order],
+        labels=None if dataset.labels is None else dataset.labels[order],
         convention=convention,
     )
 
@@ -108,10 +100,9 @@ def is_undetected(a, model, train_scores: ScoreTable) -> Verdict:
     """Apply the failure criterion: score(a) <= min training score.
 
     Ties count as undetected. The ratio score/min is the seed-robust
-    quantity; the margin is in absolute loss units.
+    quantity; the margin is in absolute loss units. train_scores must score
+    the model's training data: the caller is responsible for that.
     """
-    if train_scores.role != "train":
-        raise InputDomainError("train_scores must come from a train-role dataset")
     av = numlin.as_vector(a, "candidate")
     with np.errstate(over="ignore", invalid="ignore"):
         s = float(sample_scores(model, av[None, :], train_scores.convention)[0])
@@ -128,18 +119,44 @@ def is_undetected(a, model, train_scores: ScoreTable) -> Verdict:
 
 def write_score_csv(table: ScoreTable, path) -> None:
     """CSV export: index,score,label rows in table (descending) order."""
+    labels = [""] * len(table.order) if table.labels is None else table.labels.tolist()
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("index,score,label\n")
-        for e in table.entries:
-            label = "" if e.label is None else str(e.label)
-            f.write(f"{e.index},{repr(e.score)},{label}\n")
+        for index, s, label in zip(table.order.tolist(), table.scores.tolist(), labels):
+            f.write(f"{index},{s!r},{label}\n")
+
+
+def min_score_in(path) -> float:
+    """The smallest score in a CSV with one `score` column, as `write_score_csv` writes."""
+    best = None
+    with open(path, encoding="utf-8") as f:
+        header = f.readline().strip().split(",")
+        if header.count("score") != 1:
+            raise InputDomainError(
+                f"{path}: baseline CSV needs one 'score' column, found {header.count('score')}"
+            )
+        col = header.index("score")
+        for lineno, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
+            try:
+                value = float(line.split(",")[col])
+            except (IndexError, ValueError):
+                raise InputDomainError(
+                    f"{path}:{lineno}: baseline row has no numeric 'score' cell"
+                ) from None
+            if not np.isfinite(value):
+                raise InputDomainError(f"{path}:{lineno}: baseline score {value} is not finite")
+            best = value if best is None else min(best, value)
+    if best is None:
+        raise InputDomainError(f"{path}: baseline CSV has no rows")
+    return best
 
 
 def table_summary(table: ScoreTable) -> dict:
     return {
-        "count": len(table.entries),
+        "count": len(table.order),
         "min_score": table.min_score,
         "max_score": table.max_score,
-        "role": table.role,
         "convention": table.convention,
     }

@@ -26,7 +26,7 @@ from .adversary import (
     pgd_adversary,
     write_pgm,
 )
-from .anomaly import CONVENTIONS, is_undetected, score, table_summary, write_score_csv
+from .anomaly import CONVENTIONS, is_undetected, min_score_in, score, table_summary, write_score_csv
 from .audit import (
     render_heatmap,
     scan_input_space,
@@ -170,7 +170,7 @@ def cmd_train(args) -> int:
         )
 
     cfg = _train_config(args, dataset.num_samples)
-    if cfg.checkpoint_dir:
+    if cfg.checkpoint_interval:
         Path(cfg.checkpoint_dir).mkdir(parents=True, exist_ok=True)
     trained, report = train(model, dataset, cfg)
     out = Path(args.output)
@@ -197,38 +197,13 @@ def cmd_score(args) -> int:
     write_score_csv(table, out)
     summary = table_summary(table)
     if args.baseline:
-        floor = _baseline_min(args.baseline)
-        flagged = sorted(e.index for e in table.entries if e.score <= floor)
+        floor = min_score_in(args.baseline)
+        flagged = sorted(table.order[table.scores <= floor].tolist())
         summary["baseline_min_score"] = floor
         summary["flagged_indices"] = flagged
         summary["flagged"] = len(flagged)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
-
-
-def _baseline_min(path) -> float:
-    best = None
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        try:
-            col = header.index("score")
-        except ValueError:
-            raise InputDomainError(f"{path}: baseline CSV needs a 'score' column")
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            try:
-                value = float(line.split(",")[col])
-            except (IndexError, ValueError):
-                raise InputDomainError(
-                    f"{path}:{lineno}: baseline row has no numeric 'score' cell"
-                ) from None
-            if not math.isfinite(value):
-                raise InputDomainError(f"{path}:{lineno}: baseline score {value} is not finite")
-            best = value if best is None else min(best, value)
-    if best is None:
-        raise InputDomainError(f"{path}: baseline CSV has no rows")
-    return best
 
 
 # --- audit ------------------------------------------------------------------------

@@ -26,26 +26,22 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
-    """A finite m-by-n sample matrix with optional labels.
+    """A finite m-by-n sample matrix with optional labels, training data or not.
 
     Attributes:
         x: Sample matrix, one row per sample.
         labels: Optional integer labels, length m.
-        role: "train" or "test".
         feature_names: Optional column names, length n.
         image_hw: Optional (rows, cols) of the image each row holds.
     """
 
     x: np.ndarray
     labels: np.ndarray | None = None
-    role: str = "train"
     feature_names: list[str] | None = None
     image_hw: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         self.x = numlin.as_matrix(self.x, "dataset")
-        if self.role not in ("train", "test"):
-            raise InputDomainError(f"role must be 'train' or 'test', got {self.role!r}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.x.shape[0],):
@@ -62,10 +58,6 @@ class Dataset:
     @property
     def num_samples(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def num_features(self) -> int:
-        return self.x.shape[1]
 
 
 @dataclass(frozen=True)
@@ -183,7 +175,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
                 labels.append(comp)
         x = np.vstack(rows)
         lab = np.array(labels) if len(means) > 1 else None
-        return Dataset(x=x, labels=lab, role="train")
+        return Dataset(x=x, labels=lab)
 
     if spec.family == "banana":
         lo, hi = spec.x_range
@@ -192,7 +184,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
             x1 = rng.uniform(lo, hi)
             rows[i, 0] = x1
             rows[i, 1] = x1 * x1 + spec.noise_scale * rng.normal()
-        return Dataset(x=rows, role="train")
+        return Dataset(x=rows)
 
     # diagonal: every sample occupies the line spanned by (1, 1)
     lo, hi = spec.alpha_range
@@ -201,7 +193,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
         alpha = rng.uniform(lo, hi)
         rows[i, 0] = alpha
         rows[i, 1] = alpha
-    return Dataset(x=rows, role="train")
+    return Dataset(x=rows)
 
 
 def _read_be32(data: bytes, offset: int, path: str) -> int:
@@ -215,10 +207,9 @@ def load_mnist(
     labels_path,
     keep_digits: set[int] | None = None,
     max_per_digit: int | None = None,
-    role: str = "train",
 ) -> Dataset:
     """Load an IDX image/label file pair as flat rows scaled to [0, 1], with
-    the header's (rows, cols) as the dataset's image_hw.
+    the digits as labels and the header's (rows, cols) as image_hw.
 
     Rows keep file order. keep_digits filters labels; max_per_digit caps each
     retained digit, counting in file order.
@@ -275,7 +266,7 @@ def load_mnist(
         raise InputDomainError("no samples left after digit filtering")
 
     x = pixels[taken].astype(np.float64) / 255.0
-    return Dataset(x=x, labels=labels[taken].astype(np.int64), role=role, image_hw=(rows, cols))
+    return Dataset(x=x, labels=labels[taken].astype(np.int64), image_hw=(rows, cols))
 
 
 def save_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:
@@ -303,8 +294,8 @@ def _csv_records(f, path):
         raise FormatError(f"{path}: unreadable CSV in row {reader.line_num}: {exc}") from None
 
 
-def load_csv(path, has_header: bool = False, role: str = "train") -> Dataset:
-    """Read a rectangular numeric CSV ('.' decimal point, UTF-8)."""
+def load_csv(path, has_header: bool = False) -> Dataset:
+    """Read a rectangular numeric CSV ('.' decimal point, UTF-8) as an unlabelled dataset."""
     names: list[str] | None = None
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as f:
@@ -331,7 +322,7 @@ def load_csv(path, has_header: bool = False, role: str = "train") -> Dataset:
         raise FormatError(
             f"{path}: header has {len(names)} names for {len(rows[0])} columns"
         )
-    return Dataset(x=np.array(rows, dtype=np.float64), role=role, feature_names=names)
+    return Dataset(x=np.array(rows, dtype=np.float64), feature_names=names)
 
 
 def save_csv(dataset: Dataset, path) -> None:

@@ -35,7 +35,7 @@ import functools
 import numpy as np
 
 from .errors import InputDomainError
-from .numlin import row_chunks
+from .numlin import as_int, row_chunks
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -208,7 +208,7 @@ class DenseLayer(Layer):
 
 
 def _image_shape(in_shape) -> tuple[int, int, int]:
-    shape = tuple(int(v) for v in in_shape)
+    shape = tuple(as_int(v, "in_shape") for v in in_shape)
     if len(shape) != 3:
         raise InputDomainError(f"image in_shape must be (C, H, W), got {list(shape)}")
     return shape
@@ -236,8 +236,8 @@ class _KernelLayer(Layer):
             )
         if self.bias.shape != (self.weight.shape[1 - self.IN_AXIS],):
             raise InputDomainError(f"{self.NAME} bias must have one entry per output channel")
-        self.stride = int(stride)
-        self.padding = int(padding)
+        self.stride = as_int(stride, f"{self.NAME} stride")
+        self.padding = as_int(padding, f"{self.NAME} padding")
         if self.stride < 1:
             raise InputDomainError(f"{self.NAME} stride must be >= 1, got {self.stride}")
         if self.padding < 0:
@@ -318,7 +318,7 @@ class Upconv2dLayer(_KernelLayer):
         in_shape: tuple[int, int, int],
     ) -> None:
         super().__init__(weight, bias, stride, padding, activation, in_shape)
-        self.output_padding = int(output_padding)
+        self.output_padding = as_int(output_padding, "upconv output_padding")
         ho, wo = upconv_output_hw(
             self.in_shape[1], self.in_shape[2], self.kernel, stride, padding, output_padding
         )
@@ -361,7 +361,7 @@ class FlattenLayer(Layer):
     FIELDS = ("in_shape",)
 
     def __init__(self, in_shape: tuple[int, int, int]) -> None:
-        self.in_shape = tuple(int(v) for v in in_shape)
+        self.in_shape = tuple(as_int(v, "flatten in_shape") for v in in_shape)
         self.out_shape = int(np.prod(self.in_shape))
 
     def forward(self, x: np.ndarray):
@@ -378,7 +378,7 @@ class ReshapeLayer(Layer):
     FIELDS = ("out_shape",)
 
     def __init__(self, out_shape: tuple[int, int, int]) -> None:
-        self.out_shape = tuple(int(v) for v in out_shape)
+        self.out_shape = tuple(as_int(v, "reshape out_shape") for v in out_shape)
         self.in_shape = int(np.prod(self.out_shape))
 
     def forward(self, x: np.ndarray):

@@ -130,7 +130,9 @@ class AutoencoderModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.input_shape = tuple(int(v) for v in self.input_shape)
+        self.input_shape = tuple(numlin.as_int(v, "input_shape") for v in self.input_shape)
+        self.latent_dim = numlin.as_int(self.latent_dim, "latent_dim")
+        self.seed = numlin.as_int(self.seed, "seed")
         if len(self.input_shape) not in (1, 3):
             raise InputDomainError(f"input_shape must be (n,) or (C, H, W), not {self.input_shape}")
         shape = self.input_shape if len(self.input_shape) == 3 else self.input_shape[0]
@@ -491,9 +493,9 @@ def load_model(path):
                 encoder=[layer_from_config(c) for c in doc["encoder"]],
                 decoder=[layer_from_config(c) for c in doc["decoder"]],
                 input_shape=tuple(doc["input_shape"]),
-                latent_dim=int(doc["latent_dim"]),
+                latent_dim=doc["latent_dim"],
                 preprocessing=preprocessing,
-                seed=int(doc.get("seed", 0)),
+                seed=doc.get("seed", 0),
             )
     except InputDomainError:
         raise

@@ -6,6 +6,7 @@ their inputs. The SVD and QR factorizations are LAPACK's, via numpy.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,14 @@ def as_vector(x, name: str = "vector", size: int | None = None) -> np.ndarray:
     _require_width(a, size, name)
     require_finite(a, name)
     return a
+
+
+def as_int(value, name: str) -> int:
+    """An integer as int; a float is not truncated, and a bool (JSON's
+    true) is not taken for 1, so both raise TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def as_rows(x, n: int, name: str) -> tuple[np.ndarray, bool]:

@@ -286,8 +286,6 @@ def train(
     Raises:
         TrainingDivergedError: Loss or parameters became non-finite.
     """
-    if dataset.role != "train":
-        raise InputDomainError(f"dataset role must be 'train', got {dataset.role!r}")
     model = copy.deepcopy(model)
     x, _ = numlin.as_rows(dataset.x, model.input_dim, "dataset")
     m = x.shape[0]

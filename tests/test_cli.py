@@ -286,6 +286,15 @@ def test_train_rejects_checkpoint_settings_that_would_misfire(tmp_path, gaussian
     assert not (tmp_path / "m.json").exists() and not (tmp_path / "ck").exists()
 
 
+def test_train_checkpoint_dir_without_interval_is_not_created(tmp_path, gaussian_csv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"checkpoint_dir": str(tmp_path / "ckx"), "epochs": 1}))
+    code = run("train", "--data", gaussian_csv, "--arch", "2,1,2", "--config", cfg,
+               "-o", tmp_path / "m.json")
+    assert code == 0
+    assert (tmp_path / "m.json").exists() and not (tmp_path / "ckx").exists()
+
+
 # --- score ------------------------------------------------------------------------
 
 
@@ -331,6 +340,48 @@ def test_score_flags_adversary_against_baseline(tmp_path, gaussian_csv, pca_mode
     summary = json.loads(capsys.readouterr().out.strip())
     assert summary["flagged"] == 1
     assert summary["flagged_indices"] == [0]
+
+
+# sha256 of the score CSV of pca_model_file on its own training data,
+# recorded before the score table held arrays instead of one object a row
+PINNED_SCORE_SHA256 = {
+    "mean": "c8dbfbfef371caffb22d378dc675dc1f615880f67f759c2f7e81db766266a247",
+    "sum": "2b2fbffb84d6702b9ba78a16b404b5cae1553a7faddb453179b8c5cdebb37f7c",
+}
+SUMMARY_KEYS = {"convention", "count", "max_score", "min_score"}
+
+
+@pytest.mark.parametrize("convention", PINNED_SCORE_SHA256)
+def test_score_csv_pinned(tmp_path, gaussian_csv, pca_model_file, capsys, convention):
+    out = tmp_path / "scores.csv"
+    argv = ["score", "--model", pca_model_file, "--data", gaussian_csv,
+            "--convention", convention]
+    assert run(*argv, "-o", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SCORE_SHA256[convention]
+    assert set(json.loads(capsys.readouterr().out)) == SUMMARY_KEYS
+
+    # against itself as baseline, only the last (lowest-scoring) row is flagged
+    assert run(*argv, "--baseline", out, "-o", tmp_path / "again.csv") == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert set(summary) == SUMMARY_KEYS | {"baseline_min_score", "flagged", "flagged_indices"}
+    last = out.read_text().splitlines()[-1].split(",")
+    assert summary["flagged_indices"] == [int(last[0])]
+    assert summary["baseline_min_score"] == summary["min_score"] == float(last[1])
+
+
+@pytest.mark.parametrize("header, found", [("index,label", 0), ("score,score", 2)])
+def test_score_baseline_needs_one_score_column_exit_2(tmp_path, gaussian_csv, pca_model_file,
+                                                      capsys, header, found):
+    baseline = tmp_path / "baseline.csv"
+    baseline.write_text(f"{header}\n1,x\n")
+    code = run(
+        "score", "--model", pca_model_file, "--data", gaussian_csv,
+        "--baseline", baseline, "-o", tmp_path / "s.csv",
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{baseline}: baseline CSV needs one 'score' column, found {found}" in captured.err
 
 
 @pytest.mark.parametrize("row", ["0,high", "0", "0,nan", "0,inf", "0,-inf"])
@@ -414,6 +465,42 @@ def _conv_padding_negative(doc):
     return "conv padding must be >= 0, got -1"
 
 
+# integer fields take no float, however near an integer, and no JSON true
+# (the model's latent_dim is 1): int() used to truncate both
+
+
+def _latent_dim_float(doc):
+    doc["latent_dim"] = 1.5
+    return "latent_dim must be an integer, got 1.5"
+
+
+def _latent_dim_true(doc):
+    doc["latent_dim"] = True
+    return "latent_dim must be an integer, got True"
+
+
+def _seed_float(doc):
+    doc["seed"] = 1.7
+    return "seed must be an integer, got 1.7"
+
+
+def _input_shape_float(doc):
+    doc["input_shape"] = [2.9]
+    return "input_shape must be an integer, got 2.9"
+
+
+def _conv_stride_float(doc):
+    _as_conv_model(doc)["encoder"][0]["stride"] = 2.5
+    return "conv stride must be an integer, got 2.5"
+
+
+def _reshape_out_shape_float(doc):
+    decoder = _as_conv_model(doc)["decoder"]
+    assert decoder[1]["kind"] == "reshape"
+    decoder[1]["out_shape"][0] = 3.0
+    return "reshape out_shape must be an integer, got 3.0"
+
+
 def _preprocessing_std_empty(doc):
     doc["preprocessing"] = {"mean": [0.0, 0.0], "std": []}
     return "preprocessing std has length 0, expected 2"
@@ -439,6 +526,12 @@ def _preprocessing_std_zero(doc):
         _conv_stride_zero,
         _upconv_stride_negative,
         _conv_padding_negative,
+        _latent_dim_float,
+        _latent_dim_true,
+        _seed_float,
+        _input_shape_float,
+        _conv_stride_float,
+        _reshape_out_shape_float,
         _preprocessing_std_empty,
         _preprocessing_std_zero,
     ],

@@ -201,8 +201,8 @@ def test_truncated_idx_or_csv_never_exits_1(files, which, keep, command):
 # hundred would slip past a random sample
 
 CONFIG = {**{f.name: f.default for f in fields(TrainConfig)}, "epochs": 1, "batch_size": 4}
-# the one string value: a directory under the fixture's root, since train
-# creates its checkpoint_dir
+# the one string value: a directory under the fixture's root, so that no
+# case can write into the working directory
 PATH = object()
 HUGE = (2**64, 10**400)  # never an epoch count: training would not end
 CONFIG_VALUES = [REMOVE, PATH, None, True, [], [1.0], {}, float("nan"), float("inf"),

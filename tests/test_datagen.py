@@ -130,8 +130,6 @@ def test_dataset_validation():
         Dataset(x=np.array([[1.0, np.inf]]))
     with pytest.raises(InputDomainError):
         Dataset(x=np.eye(3), labels=[1, 2])
-    with pytest.raises(InputDomainError):
-        Dataset(x=np.eye(3), role="validate")
 
 
 # --- IDX ---------------------------------------------------------------

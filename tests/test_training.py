@@ -350,7 +350,7 @@ def test_train_divergence_names_non_finite_parameter():
     # tiny inputs keep epoch 0's step finite; epoch 1's step overflows the
     # first weight while its loss is still finite, so the parameter check fires
     base = generate(SyntheticSpec(family="gaussian", samples_per_component=20, seed=9))
-    ds = Dataset(x=base.x * 1e-8, role="train")
+    ds = Dataset(x=base.x * 1e-8)
     model = build_mlp_autoencoder([2, 1, 2], activation="linear", seed=5)
     cfg = TrainConfig(epochs=20, batch_size=40, learning_rate=1e87, optimizer="sgd", seed=0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError) as err:
@@ -368,14 +368,6 @@ def test_train_divergence_emits_no_numpy_warning():
         with pytest.raises(TrainingDivergedError):
             train(model, ds, cfg)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-
-def test_train_rejects_test_role():
-    ds = generate(SyntheticSpec(family="gaussian", samples_per_component=10, seed=1))
-    test_ds = Dataset(x=ds.x, role="test")
-    model = build_mlp_autoencoder([2, 1, 2], seed=0)
-    with pytest.raises(InputDomainError):
-        train(model, test_ds, TrainConfig(epochs=1))
 
 
 def test_train_config_validation_and_json():
