@@ -31,7 +31,7 @@ from .models import (
 )
 from .numlin import pairwise_min_distance, principal_angles, svd
 from .rng import Rng
-from .training import TrainConfig, TrainReport, reconstruction_loss, train
+from .training import TrainConfig, TrainReport, train
 
 __all__ = [
     "AdversaryResult",
@@ -62,7 +62,6 @@ __all__ = [
     "pca_fit",
     "pgd_adversary",
     "principal_angles",
-    "reconstruction_loss",
     "relu_toy_adversary",
     "save_model",
     "scan_input_space",

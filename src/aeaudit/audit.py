@@ -158,12 +158,17 @@ def scan_latent_space(
 
 
 def _scan(space, points, inflate, node_losses, bounds, resolution, epsilon, far_threshold):
-    """Shared lattice scan: `node_losses` maps (k, 2) grid nodes to k losses."""
+    """Shared lattice scan: `node_losses` maps (k, 2) grid nodes to k losses.
+
+    The far threshold, given or default, and every region's distance to the
+    training points must be finite, or the scan raises before a report
+    could hold them.
+    """
     if not (epsilon >= 0 and math.isfinite(epsilon)):
         raise InputDomainError(f"epsilon must be finite and >= 0, got {epsilon}")
     if far_threshold is None:
         far_threshold = rms_far_threshold(points)
-    elif not (far_threshold >= 0 and math.isfinite(far_threshold)):
+    if not (far_threshold >= 0 and math.isfinite(far_threshold)):
         raise InputDomainError(f"far_threshold must be finite and >= 0, got {far_threshold}")
     if bounds is None:
         bounds = inflate_bounds(points, inflate)
@@ -172,6 +177,9 @@ def _scan(space, points, inflate, node_losses, bounds, resolution, epsilon, far_
     losses = node_losses(_grid_nodes(xs, ys)).reshape(ys.shape[0], xs.shape[0])
     if not np.all(np.isfinite(losses)):
         raise NumericalError(f"{space} grid scan produced non-finite losses")
+    regions = extract_regions(losses, xs, ys, epsilon, points, far_threshold)
+    if not all(math.isfinite(r.min_dist_to_train) for r in regions):
+        raise NumericalError(f"{space} grid scan gave a non-finite distance to the training data")
     return AuditGrid(
         space=space,
         bounds=bounds,
@@ -180,7 +188,7 @@ def _scan(space, points, inflate, node_losses, bounds, resolution, epsilon, far_
         losses=losses,
         epsilon=epsilon,
         far_threshold=far_threshold,
-        regions=extract_regions(losses, xs, ys, epsilon, points, far_threshold),
+        regions=regions,
         train_points=points,
     )
 

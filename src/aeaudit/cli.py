@@ -83,10 +83,30 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _refuse(args, dests, mode: str) -> None:
+    """Exit 2 on the first of these flags (argparse dests) that was given:
+    `mode` would ignore it."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value is not None and value is not False:
+            raise InputDomainError(f"--{dest.replace('_', '-')} does not apply to {mode}")
+
+
 # --- gen-data -----------------------------------------------------------------
+
+# the gen-data flags that only some families read
+FAMILY_FLAGS = {
+    "mean": ("gaussian", "double_gaussian"),
+    "cov": ("gaussian", "double_gaussian"),
+    "noise": ("banana",),
+    "x_range": ("banana",),
+    "alpha_range": ("diagonal",),
+}
 
 
 def cmd_gen_data(args) -> int:
+    _refuse(args, [f for f, families in FAMILY_FLAGS.items() if args.family not in families],
+            f"family {args.family}")
     spec_kwargs = dict(
         family=args.family,
         samples_per_component=args.n,
@@ -145,6 +165,7 @@ def cmd_train(args) -> int:
         raise InputDomainError("give exactly one of --arch or --preset")
 
     if args.preset is not None:
+        _refuse(args, ("data", "has_header", "act", "standardize"), "--preset")
         if args.preset != "mnist-conv2":
             raise InputDomainError(f"unknown preset {args.preset!r}")
         if not args.mnist_images or not args.mnist_labels:
@@ -157,16 +178,20 @@ def cmd_train(args) -> int:
             max_per_digit=args.max_per_digit,
         )
         model = build_conv_autoencoder(
-            image_hw=dataset.image_hw, latent_dim=args.latent_dim, seed=args.seed
+            image_hw=dataset.image_hw,
+            latent_dim=2 if args.latent_dim is None else args.latent_dim,
+            seed=args.seed,
         )
     else:
+        _refuse(args, ("mnist_images", "mnist_labels", "digits", "max_per_digit", "latent_dim"),
+                "--arch")
         dataset = load_csv(args.data, has_header=args.has_header)
         preprocessing = None
         if args.standardize:
             mean, std = standardization_stats(dataset.x)
             preprocessing = Preprocessing(mean=mean, std=std)
         model = build_mlp_autoencoder(
-            args.arch, activation=args.act, seed=args.seed, preprocessing=preprocessing
+            args.arch, activation=args.act or "relu", seed=args.seed, preprocessing=preprocessing
         )
 
     cfg = _train_config(args, dataset.num_samples)
@@ -324,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", help="training CSV")
     t.add_argument("--has-header", action="store_true")
     t.add_argument("--arch", type=_numbers(int), help="layer sizes, e.g. 2,5,1,5,2")
-    t.add_argument("--act", default="relu", choices=ACTIVATIONS)
+    t.add_argument("--act", choices=ACTIVATIONS, help="hidden activation for --arch (default relu)")
     t.add_argument("--preset", help="mnist-conv2")
     t.add_argument("--mnist-images", help="IDX image file for the preset")
     t.add_argument("--mnist-labels", help="IDX label file for the preset")
     t.add_argument("--digits", type=_numbers(int), help="digits kept as normal data")
     t.add_argument("--max-per-digit", type=int)
-    t.add_argument("--latent-dim", type=int, default=2)
+    t.add_argument("--latent-dim", type=int, help="latent width for --preset (default 2)")
     t.add_argument("--standardize", action="store_true")
     t.add_argument("--epochs", type=int, default=2000)
     t.add_argument("--batch-size", type=int, default=32)

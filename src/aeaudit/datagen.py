@@ -196,10 +196,32 @@ def generate(spec: SyntheticSpec) -> Dataset:
     return Dataset(x=rows)
 
 
-def _read_be32(data: bytes, offset: int, path: str) -> int:
-    if offset + 4 > len(data):
-        raise FormatError(f"{path}: truncated at byte offset {offset}, expected 32-bit word")
-    return struct.unpack_from(">I", data, offset)[0]
+def _read_idx(path, magic: int) -> np.ndarray:
+    """The uint8 array of an IDX file whose magic number must be `magic`.
+
+    The magic's low byte is the array's rank; the header is the magic and
+    one big-endian 32-bit size per axis, and the data follows it.
+    """
+    data = Path(path).read_bytes()
+    start = 4 * (1 + (magic & 0xFF))
+    if len(data) < start:
+        raise FormatError(f"{path}: truncated header, {len(data)} bytes where {start} are needed")
+    found, *shape = struct.unpack_from(f">{start // 4}I", data)
+    if found != magic:
+        raise FormatError(f"{path}: bad magic 0x{found:08x} at offset 0, expected 0x{magic:08x}")
+    if len(data) != start + math.prod(shape):
+        raise FormatError(
+            f"{path}: expected {start + math.prod(shape)} bytes for shape {shape}, "
+            f"found {len(data)} (data at offset {start})"
+        )
+    return np.frombuffer(data, dtype=np.uint8, offset=start).reshape(shape)
+
+
+def _write_idx(path, magic: int, array: np.ndarray) -> None:
+    """Write a uint8 array as an IDX file with the given magic number."""
+    with open(path, "wb") as f:
+        f.write(struct.pack(f">{1 + array.ndim}I", magic, *array.shape))
+        f.write(array.tobytes())
 
 
 def load_mnist(
@@ -214,42 +236,15 @@ def load_mnist(
     Rows keep file order. keep_digits filters labels; max_per_digit caps each
     retained digit, counting in file order.
     """
-    img_bytes = Path(images_path).read_bytes()
-    lab_bytes = Path(labels_path).read_bytes()
-
-    magic = _read_be32(img_bytes, 0, str(images_path))
-    if magic != IDX_IMAGES_MAGIC:
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC)
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC)
+    count, rows, cols = images.shape
+    if labels.shape[0] != count:
         raise FormatError(
-            f"{images_path}: bad magic 0x{magic:08x} at offset 0, expected 0x{IDX_IMAGES_MAGIC:08x}"
-        )
-    count = _read_be32(img_bytes, 4, str(images_path))
-    rows = _read_be32(img_bytes, 8, str(images_path))
-    cols = _read_be32(img_bytes, 12, str(images_path))
-    if len(img_bytes) != 16 + count * rows * cols:
-        raise FormatError(
-            f"{images_path}: expected {16 + count * rows * cols} bytes for "
-            f"{count} images of {rows}x{cols}, found {len(img_bytes)} (pixel data at offset 16)"
-        )
-
-    lab_magic = _read_be32(lab_bytes, 0, str(labels_path))
-    if lab_magic != IDX_LABELS_MAGIC:
-        raise FormatError(
-            f"{labels_path}: bad magic 0x{lab_magic:08x} at offset 0, expected 0x{IDX_LABELS_MAGIC:08x}"
-        )
-    lab_count = _read_be32(lab_bytes, 4, str(labels_path))
-    if len(lab_bytes) != 8 + lab_count:
-        raise FormatError(
-            f"{labels_path}: expected {8 + lab_count} bytes for {lab_count} labels, "
-            f"found {len(lab_bytes)} (label data at offset 8)"
-        )
-    if lab_count != count:
-        raise FormatError(
-            f"label count {lab_count} does not match image count {count} "
+            f"label count {labels.shape[0]} does not match image count {count} "
             f"({labels_path} vs {images_path})"
         )
-
-    pixels = np.frombuffer(img_bytes, dtype=np.uint8, offset=16).reshape(count, rows * cols)
-    labels = np.frombuffer(lab_bytes, dtype=np.uint8, offset=8)
+    pixels = images.reshape(count, rows * cols)
 
     taken = []
     per_digit: dict[int, int] = {}
@@ -275,13 +270,8 @@ def save_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -
     labels = np.asarray(labels, dtype=np.uint8)
     if images.ndim != 3 or labels.shape != (images.shape[0],):
         raise InputDomainError("expected images (m, h, w) and labels (m,)")
-    m, h, w = images.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, m, h, w))
-        f.write(images.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, m))
-        f.write(labels.tobytes())
+    _write_idx(images_path, IDX_IMAGES_MAGIC, images)
+    _write_idx(labels_path, IDX_LABELS_MAGIC, labels)
 
 
 def _csv_records(f, path):

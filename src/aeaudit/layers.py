@@ -3,7 +3,9 @@
 Conventions: samples are rows, dense weights have shape (fan_in, fan_out) so
 a layer computes x @ W + b. Image tensors are (batch, channels, height,
 width). Every layer exposes `in_shape` and `out_shape`: an int for a flat
-width, a (C, H, W) tuple for an image. Convolutions gather patches with
+width, a (C, H, W) tuple for an image. A forward pass does not check its
+input's shape: `AutoencoderModel` checks the chain of shapes once, when it
+is built. Convolutions gather patches with
 im2col (a strided view of the padded input, copied once) and scatter them
 back with col2im (a bincount over the same patch indices), so every
 contraction is a BLAS matmul. A weight gradient is one GEMM per sample
@@ -275,8 +277,6 @@ class Conv2dLayer(_KernelLayer):
 
     def forward(self, x: np.ndarray):
         b = x.shape[0]
-        if x.shape[1:] != self.in_shape:
-            raise InputDomainError(f"conv input shape {x.shape[1:]} != {self.in_shape}")
         co, ho, wo = self.out_shape
         wmat = self.weight.reshape(co, -1)
         act = ACTIVATION_FNS[self.activation][0]
@@ -330,8 +330,6 @@ class Upconv2dLayer(_KernelLayer):
 
     def forward(self, x: np.ndarray):
         b = x.shape[0]
-        if x.shape[1:] != self.in_shape:
-            raise InputDomainError(f"upconv input shape {x.shape[1:]} != {self.in_shape}")
         ci, h, w = self.in_shape
         wmat = self.weight.reshape(ci, -1)  # (Ci, Co*k*k)
         act = ACTIVATION_FNS[self.activation][0]
@@ -365,8 +363,6 @@ class FlattenLayer(Layer):
         self.out_shape = int(np.prod(self.in_shape))
 
     def forward(self, x: np.ndarray):
-        if x.shape[1:] != self.in_shape:
-            raise InputDomainError(f"flatten input shape {x.shape[1:]} != {self.in_shape}")
         return x.reshape(x.shape[0], -1), None
 
     def backward(self, dy: np.ndarray, cache, grads):
@@ -382,8 +378,6 @@ class ReshapeLayer(Layer):
         self.in_shape = int(np.prod(self.out_shape))
 
     def forward(self, x: np.ndarray):
-        if x.shape[1] != self.in_shape:
-            raise InputDomainError(f"reshape input width {x.shape[1]} != {self.in_shape}")
         return x.reshape(x.shape[0], *self.out_shape), None
 
     def backward(self, dy: np.ndarray, cache, grads):

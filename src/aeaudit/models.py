@@ -460,7 +460,7 @@ def load_model(path):
 
     Raises:
         FormatError: Not valid JSON, wrong format/version tag, or missing
-            or mistyped fields.
+            or mistyped fields, or a number too large for a float.
         InputDomainError: Well-typed fields that violate a model invariant.
     """
     try:
@@ -499,6 +499,6 @@ def load_model(path):
             )
     except InputDomainError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed model document ({exc})") from None
     raise FormatError(f"{path}: unknown model kind {doc.get('kind')!r}")

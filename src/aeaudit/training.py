@@ -118,25 +118,11 @@ class TrainReport:
         }
 
 
-def reconstruction_loss(x, xhat) -> float:
-    """Mean squared error between a sample and its reconstruction."""
-    a = numlin.as_vector(x, "x")
-    b = numlin.as_vector(xhat, "xhat", size=a.shape[0])
-    d = a - b
-    return float(d @ d) / a.shape[0]
-
-
-def batch_loss(x: np.ndarray, xhat: np.ndarray) -> float:
-    """Mean over samples of the per-sample reconstruction loss."""
-    if x.shape != xhat.shape:
-        raise InputDomainError(f"shape mismatch: {x.shape} vs {xhat.shape}")
-    d = x - xhat
-    return float(np.sum(d * d)) / (x.shape[0] * x.shape[1])
-
-
 def backward(model: AutoencoderModel, batch, grads: list | None = None) -> tuple[float, list]:
     """Loss and gradients of the mean batch loss for every parameter.
 
+    The loss is the squared residual averaged over every entry of the
+    batch: the mean over its rows of each row's mean squared error.
     Gradients are one dict per layer (encoder then decoder) keyed and shaped
     like layer.params(): `grads` as `_bind` lays it out, else fresh arrays.
     Standardization, when present, is applied to the batch before the
@@ -147,11 +133,9 @@ def backward(model: AutoencoderModel, batch, grads: list | None = None) -> tuple
                  for layer in model.layers()]
     caches: list = []
     a, out = _network_forward(model, batch, caches)
-    b, n = a.shape
-    dy = (2.0 / (b * n)) * (out - a)
-    loss = batch_loss(a, out)
-    _backprop(model, dy, caches, grads)
-    return loss, grads
+    r = out - a
+    _backprop(model, (2.0 / r.size) * r, caches, grads)
+    return float(np.sum(r * r)) / r.size, grads
 
 
 def _network_forward(model: AutoencoderModel, batch, caches: list | None = None):
@@ -337,12 +321,6 @@ def train(
     return model, report
 
 
-def dataset_loss(model: AutoencoderModel, x: np.ndarray) -> float:
-    """Mean per-sample loss over rows, in the network's training space."""
-    a, out = _network_forward(model, x)
-    return batch_loss(a, out)
-
-
 def check_gradients(
     model: AutoencoderModel,
     batch: np.ndarray,
@@ -353,8 +331,7 @@ def check_gradients(
     """Max relative error between analytic and central-difference gradients.
 
     Samples coordinates from every parameter tensor; the finite-difference
-    loss is evaluated through the same forward path the analytic gradients
-    differentiate.
+    loss is the one `backward` returns with the analytic gradients.
     """
     _, grads = backward(model, batch)
     rng = Rng(seed)
@@ -369,9 +346,9 @@ def check_gradients(
             for idx in picked:
                 orig = flat[idx]
                 flat[idx] = orig + step
-                up = dataset_loss(model, batch)
+                up = backward(model, batch)[0]
                 flat[idx] = orig - step
-                down = dataset_loss(model, batch)
+                down = backward(model, batch)[0]
                 flat[idx] = orig
                 fd = (up - down) / (2.0 * step)
                 denom = max(abs(fd), abs(gflat[idx]), 1e-8)

@@ -295,6 +295,41 @@ def test_train_checkpoint_dir_without_interval_is_not_created(tmp_path, gaussian
     assert (tmp_path / "m.json").exists() and not (tmp_path / "ckx").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["train", "--data", "data.csv", "--arch", "2,5,1,5,2", "--latent-dim", 7], "--latent-dim"),
+        (["train", "--data", "data.csv", "--arch", "2,5,1,5,2", "--digits", 3], "--digits"),
+        (["train", "--data", "data.csv", "--arch", "2,1,2", "--max-per-digit", 2],
+         "--max-per-digit"),
+        (["train", "--data", "data.csv", "--arch", "2,1,2", "--mnist-images", "img.idx"],
+         "--mnist-images"),
+        (["train", "--data", "data.csv", "--arch", "2,1,2", "--mnist-labels", "lab.idx"],
+         "--mnist-labels"),
+        (["train", "--preset", "mnist-conv2", "--data", "data.csv"], "--data"),
+        (["train", "--preset", "mnist-conv2", "--has-header"], "--has-header"),
+        (["train", "--preset", "mnist-conv2", "--act", "sigmoid"], "--act"),
+        (["train", "--preset", "mnist-conv2", "--standardize"], "--standardize"),
+        (["gen-data", "--family", "banana", "--mean", "5,5"], "--mean"),
+        (["gen-data", "--family", "banana", "--cov", "1,0,0,1"], "--cov"),
+        (["gen-data", "--family", "banana", "--alpha-range", "0,1"], "--alpha-range"),
+        (["gen-data", "--family", "gaussian", "--noise", 0.5], "--noise"),
+        (["gen-data", "--family", "diagonal", "--x-range", "0,1"], "--x-range"),
+    ],
+)
+def test_flag_the_mode_ignores_exit_2_naming_it(tmp_path, gaussian_csv, capsys, argv, flag):
+    img, lab = _idx_pair(tmp_path, (6, 4, 4))
+    files = {"data.csv": gaussian_csv, "img.idx": img, "lab.idx": lab}
+    if "--preset" in argv:
+        argv = [*argv, "--mnist-images", img, "--mnist-labels", lab]
+    if argv[0] == "train":
+        argv = [*argv, "--epochs", 1]
+    code = run(*[files.get(a, a) for a in argv], "-o", tmp_path / "out.csv")
+    assert code == 2
+    assert f"error: {flag} does not apply to" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 # --- score ------------------------------------------------------------------------
 
 
@@ -501,6 +536,21 @@ def _reshape_out_shape_float(doc):
     return "reshape out_shape must be an integer, got 3.0"
 
 
+# a JSON integer too large for a float (int() -> float() overflows)
+
+
+def _weight_huge_int(doc):
+    doc["encoder"][0]["weight"][0][0] = 10**400
+
+
+def _preprocessing_mean_huge_int(doc):
+    doc["preprocessing"] = {"mean": [10**400, 0.0], "std": [1.0, 1.0]}
+
+
+def _conv_bias_huge_int(doc):
+    _as_conv_model(doc)["decoder"][3]["bias"][0] = 10**400
+
+
 def _preprocessing_std_empty(doc):
     doc["preprocessing"] = {"mean": [0.0, 0.0], "std": []}
     return "preprocessing std has length 0, expected 2"
@@ -532,6 +582,9 @@ def _preprocessing_std_zero(doc):
         _input_shape_float,
         _conv_stride_float,
         _reshape_out_shape_float,
+        _weight_huge_int,
+        _preprocessing_mean_huge_int,
+        _conv_bias_huge_int,
         _preprocessing_std_empty,
         _preprocessing_std_zero,
     ],
@@ -1029,6 +1082,31 @@ def test_non_finite_number_exit_2(tmp_path, gaussian_csv, capsys, model, argv):
     code = run(*argv, "--model", path, "--data", gaussian_csv, "-o", tmp_path / "out")
     assert code == 2
     assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        pytest.param([], "far_threshold must be finite and >= 0, got inf", id="default-threshold"),
+        pytest.param(["--far-threshold", 1], "non-finite distance to the training data",
+                     id="given-threshold"),
+    ],
+)
+def test_audit_non_finite_training_distance_exit_2_writing_nothing(tmp_path, capsys, flags,
+                                                                 message):
+    # one huge weight before the latent layer puts the encodings of the
+    # training rows out of float range: the default far threshold overflows,
+    # and a given one leaves each region's distance at inf - inf
+    model = build_conv_autoencoder((4, 4), channels=(2, 2), seed=4)
+    model.encoder[3].weight[0, 0] = 1e300
+    save_model(model, tmp_path / "conv.json")
+    save_csv(Dataset(x=Rng(3).uniforms(0.0, 1.0, (6, 16))), tmp_path / "data.csv")
+    out = tmp_path / "out"
+    code = run("audit", "--model", tmp_path / "conv.json", "--data", tmp_path / "data.csv",
+               "--resolution", "4,4", "--epsilon", 1e300, *flags, "-o", out)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_attack_pgm_export(tmp_path):

@@ -2,7 +2,8 @@
 
 Every subcommand is called in-process with malformed input: number lists
 that do not parse or have the wrong count, model documents and train
-configs with one field removed or retyped, train configs with unknown keys,
+configs with one field removed or retyped (numbers past float range
+included), train configs with unknown keys,
 score baselines that are truncated, lack or repeat their score column, hold
 non-numeric or non-finite cells or are binary, and truncated IDX and CSV
 files. Whatever the input,
@@ -137,7 +138,7 @@ def _paths(doc, prefix=()):
         yield from _paths(value, (*prefix, key))
 
 
-RETYPED = [None, "x", True, 0, -1, 1.5, [], {}, [1.0], [[1.0]]]
+RETYPED = [None, "x", True, 0, -1, 1.5, [], {}, [1.0], [[1.0]], 10**400, 2**63, 1e300, -1e300]
 REMOVE = object()
 
 
@@ -159,17 +160,33 @@ def broken_models(draw):
     return name, command, draw(st.integers(0, 10**6)), draw(st.sampled_from([REMOVE, *RETYPED]))
 
 
-@FUZZ
-@given(case=broken_models())
-def test_model_document_with_a_field_removed_or_retyped_never_exits_1(files, case):
+def _run_broken_model(files, name, command, path, value):
     root, data = files
-    name, command, pick, value = case
     doc = json.loads((root / f"{name}.json").read_text())
-    paths = list(_paths(doc))
-    (root / "broken.json").write_text(json.dumps(_mutated(doc, paths[pick % len(paths)], value)))
+    (root / "broken.json").write_text(json.dumps(_mutated(doc, path, value)))
     out = root / ("out" if command == "audit" else "out.csv")
     assert_not_internal([command, "--model", root / "broken.json", "--data", root / data[name],
                          *FAST.get(command, []), "-o", out])
+
+
+@FUZZ
+@given(case=broken_models())
+def test_model_document_with_a_field_removed_or_retyped_never_exits_1(files, case):
+    root, _ = files
+    name, command, pick, value = case
+    paths = list(_paths(json.loads((root / f"{name}.json").read_text())))
+    _run_broken_model(files, name, command, paths[pick % len(paths)], value)
+
+
+# pairs that 40 random draws can miss: an integer past float range, and a
+# weight that puts the encodings of the training rows past it
+@pytest.mark.parametrize("name, command, path, value", [
+    pytest.param("pca", "score", ("mean", 0), 10**400, id="pca-mean-1e400-score"),
+    pytest.param("conv", "audit", ("encoder", 3, "weight", 0, 0), 1e300,
+                 id="conv-encoder-weight-1e300-audit"),
+])
+def test_model_document_with_a_huge_value_never_exits_1(files, name, command, path, value):
+    _run_broken_model(files, name, command, path, value)
 
 
 # --- truncated files --------------------------------------------------------------

@@ -28,7 +28,7 @@ from aeaudit.numlin import (
     svd,
 )
 from aeaudit.rng import Rng
-from aeaudit.training import TrainConfig, input_gradient, reconstruction_loss, train
+from aeaudit.training import TrainConfig, input_gradient, train
 
 
 def max_abs(a):
@@ -331,8 +331,6 @@ WIDTH_CASES = {
     "optimal_biases": (
         lambda c: optimal_biases(np.ones((2, 1)), np.ones((1, 2)), c["x3"]), "data", 3, 2),
     "write_pgm": (lambda c: write_pgm(np.zeros(5), (2, 2), c["pgm"]), "image", 5, 4),
-    "reconstruction_loss": (
-        lambda c: reconstruction_loss([0.0, 1.0], [0.0, 1.0, 2.0]), "xhat", 3, 2),
     "train": (lambda c: train(c["ae"], Dataset(x=c["x3"]), TrainConfig(epochs=1)), "dataset", 3, 2),
     "nearest_row": (lambda c: nearest_row(c["x2"], c["x3"]), "query", 3, 2),
     "encode_batch": (lambda c: encode_batch(c["ae"], c["x3"]), "input", 3, 2),
