@@ -23,6 +23,14 @@ from .anomaly import sample_scores
 from .errors import InputDomainError, NumericalError
 from .models import decode_batch, encode_batch, write_json
 
+# Grid nodes whose losses `_scan` computes in one batch, so the model's scratch
+# is that of one block at any resolution. BLAS rounds a product by its row
+# count (smaller blocks moved conv latent losses by up to 1.3e-18), so the
+# block is fixed, and at 1024 nodes a 32x32 audit stays one block with the
+# bits of a whole-grid batch.
+SCAN_BLOCK = 1024
+
+
 @dataclass
 class Region:
     """A 4-connected set of grid cells whose loss is below epsilon."""
@@ -92,8 +100,9 @@ def inflate_bounds(points: np.ndarray, factor: float) -> tuple[float, float, flo
 def rms_far_threshold(points: np.ndarray, multiple: float = 3.0) -> float:
     """multiple times the RMS distance of points from their centroid."""
     pts = numlin.as_matrix(points, "points")
-    center = pts.mean(axis=0)
-    rms = float(np.sqrt(np.mean(np.sum((pts - center) ** 2, axis=1))))
+    with np.errstate(over="ignore", invalid="ignore"):  # `_scan` refuses a non-finite result
+        center = pts.mean(axis=0)
+        rms = float(np.sqrt(np.mean(np.sum((pts - center) ** 2, axis=1))))
     return multiple * rms
 
 
@@ -118,7 +127,9 @@ def scan_input_space(
 
     Works for any model with a 2-D input (PCA or autoencoder). Default
     bounds are the training bounding box inflated 4x; the default far
-    threshold is 3x the RMS spread of the training points.
+    threshold is 3x the RMS spread of the training points. The nodes are
+    scored `SCAN_BLOCK` at a time (`_scan`), so the model's scratch is that
+    of one block at any resolution.
     """
     xm = numlin.as_matrix(x_train, "training data")
     if model.input_dim != 2 or xm.shape[1] != 2:
@@ -143,7 +154,9 @@ def scan_latent_space(
     loss is that sample's own anomaly score (decode, re-encode, decode).
     Distances and markers live in latent coordinates: the training points
     of the grid are the encodings of x_train. Default bounds inflate the
-    encodings' bounding box 2x.
+    encodings' bounding box 2x. The nodes are decoded and scored
+    `SCAN_BLOCK` at a time (`_scan`), so the model's scratch is that of one
+    block at any resolution.
     """
     xm = numlin.as_matrix(x_train, "training data", cols=model.input_dim)
     if model.latent_dim != 2:
@@ -160,7 +173,11 @@ def scan_latent_space(
 def _scan(space, points, inflate, node_losses, bounds, resolution, epsilon, far_threshold):
     """Shared lattice scan: `node_losses` maps (k, 2) grid nodes to k losses.
 
-    The far threshold, given or default, and every region's distance to the
+    The row-major nodes go to `node_losses` in blocks of `SCAN_BLOCK`, the
+    last one shorter, so the scan's scratch is that of one block. A node's
+    loss is the one its block gives: its last bits may depend on the other
+    rows of the block, as BLAS rounds by the product's shape. The far
+    threshold, given or default, and every region's distance to the
     training points must be finite, or the scan raises before a report
     could hold them.
     """
@@ -174,7 +191,14 @@ def _scan(space, points, inflate, node_losses, bounds, resolution, epsilon, far_
         bounds = inflate_bounds(points, inflate)
     xs = grid_axis(bounds[0], bounds[1], resolution[0])
     ys = grid_axis(bounds[2], bounds[3], resolution[1])
-    losses = node_losses(_grid_nodes(xs, ys)).reshape(ys.shape[0], xs.shape[0])
+    nodes = _grid_nodes(xs, ys)
+    # joined after the last block: a losses vector allocated before the first
+    # one sat in the heap among the block's large arrays, and under glibc
+    # malloc that raised the peak RSS of a 32x32 audit of a 28x28 conv model
+    # by 5 MB
+    losses = np.concatenate(
+        [node_losses(nodes[k:k + SCAN_BLOCK]) for k in range(0, nodes.shape[0], SCAN_BLOCK)]
+    ).reshape(ys.shape[0], xs.shape[0])
     if not np.all(np.isfinite(losses)):
         raise NumericalError(f"{space} grid scan produced non-finite losses")
     regions = extract_regions(losses, xs, ys, epsilon, points, far_threshold)
@@ -225,8 +249,9 @@ def extract_regions(
         j_idx = np.clip(np.rint((train_points[:, 0] - xs[0]) / dx), 0, nx - 1).astype(int)
         i_idx = np.clip(np.rint((train_points[:, 1] - ys[0]) / dy), 0, ny - 1).astype(int)
         occupied[i_idx, j_idx] = True
-    neg2_train_t = -2.0 * train_points.T
-    train_norms = np.sum(train_points * train_points, axis=1)
+    with np.errstate(over="ignore"):  # `_scan` refuses a non-finite distance
+        neg2_train_t = -2.0 * train_points.T
+        train_norms = np.sum(train_points * train_points, axis=1)
 
     # breadth-first search over flat indices of the mask padded by one False
     # border, so that no neighbour needs a bounds check
@@ -286,9 +311,10 @@ def _distance_chunks(k: int, m: int) -> list[slice]:
 def _min_squared_distance(chunk, neg2_train_t, train_norms) -> float:
     """Smallest |c|^2 - 2 c.t + |t|^2 over the chunk's rows c and the
     training points t; the (rows, m) scratch is freed on return."""
-    d2 = chunk @ neg2_train_t
-    d2 += np.sum(chunk * chunk, axis=1)[:, None]
-    d2 += train_norms[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # `_scan` refuses a non-finite distance
+        d2 = chunk @ neg2_train_t
+        d2 += np.sum(chunk * chunk, axis=1)[:, None]
+        d2 += train_norms[None, :]
     return float(d2.min())
 
 

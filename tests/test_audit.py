@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from aeaudit.audit import (
     AuditGrid,
+    _grid_nodes,
     audit_report,
     extract_regions,
     grid_axis,
@@ -29,10 +30,16 @@ from aeaudit.audit import (
     write_grid_csv,
 )
 from aeaudit import numlin
-from aeaudit.anomaly import is_undetected, score
+from aeaudit.anomaly import is_undetected, sample_scores, score
 from aeaudit.datagen import Dataset, SyntheticSpec, generate
 from aeaudit.errors import InputDomainError
-from aeaudit.models import build_conv_autoencoder, build_mlp_autoencoder, pca_fit
+from aeaudit.models import (
+    PcaModel,
+    build_conv_autoencoder,
+    build_mlp_autoencoder,
+    decode_batch,
+    pca_fit,
+)
 from aeaudit.rng import Rng
 from aeaudit.training import TrainConfig, train
 
@@ -125,6 +132,75 @@ def test_scan_latent_space_rejects_non_2d_latent():
     ds = generate(SyntheticSpec(family="gaussian", samples_per_component=10, seed=6))
     with pytest.raises(InputDomainError):
         scan_latent_space(model, ds.x)
+
+
+def _wide_pca():
+    # the encode product of 64 features takes another BLAS path at the
+    # whole-grid size of a 100x100 scan than at one block's, so the rounding
+    # of its losses shows whether the scan went by blocks
+    rng = np.random.default_rng(5)
+    basis = np.linalg.qr(rng.normal(size=(64, 2)))[0]
+    model = PcaModel(mean=rng.normal(size=64), basis=basis, singular_values=np.array([2.0, 1.0]))
+    return model, rng.normal(size=(200, 64))
+
+
+def _by_blocks(node_losses, nodes):
+    return np.concatenate(
+        [node_losses(nodes[k:k + 1024]) for k in range(0, nodes.shape[0], 1024)]
+    )
+
+
+@pytest.mark.parametrize("side", [32, 100], ids=["one-block", "ten-blocks"])
+def test_latent_scan_losses_are_those_of_1024_node_blocks(side):
+    model, x = _wide_pca()
+    grid = scan_latent_space(model, x, resolution=(side, side), epsilon=0.0)
+    nodes = _grid_nodes(grid.xs, grid.ys)
+    want = _by_blocks(lambda z: sample_scores(model, decode_batch(model, z)), nodes)
+    assert grid.losses.ravel().tobytes() == want.tobytes()
+    if side * side <= 1024:
+        whole = sample_scores(model, decode_batch(model, nodes))
+        assert grid.losses.ravel().tobytes() == whole.tobytes()
+
+
+def test_input_scan_losses_are_those_of_1024_node_blocks():
+    ds = generate(SyntheticSpec(family="gaussian", samples_per_component=25, seed=4))
+    model = build_mlp_autoencoder([2, 4, 1, 4, 2], activation="relu", seed=2)
+    grid = scan_input_space(model, ds.x, resolution=(50, 41))
+    nodes = _grid_nodes(grid.xs, grid.ys)
+    want = _by_blocks(lambda p: sample_scores(model, p), nodes)
+    assert grid.losses.ravel().tobytes() == want.tobytes()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def _latent_scan_peak(model, x, side):
+    # epsilon 0 makes no region, so the traced peak is the scan's
+    return _traced_peak(
+        lambda: scan_latent_space(model, x, resolution=(side, side), epsilon=0.0)
+    )
+
+
+def test_latent_scan_memory_bounded_by_one_block():
+    # a whole-grid batch peaked at about 63 MB here; in blocks a 200x200
+    # scan adds to a one-block (32x32) scan only its grid-sized arrays
+    # (nodes, losses and masks, under 64 bytes a node)
+    model, x = _wide_pca()
+    assert _latent_scan_peak(model, x, 200) <= _latent_scan_peak(model, x, 32) + 64 * 200 * 200
+
+
+def test_conv_latent_scan_memory_flat_in_resolution():
+    # a whole-grid batch made the 64x64 scan's peak about 3x the 32x32 one's
+    model = build_conv_autoencoder(image_hw=(12, 12), channels=(4, 4), seed=3)
+    x = Rng(5).uniforms(0.0, 1.0, (20, 144))
+    assert _latent_scan_peak(model, x, 64) <= 1.25 * _latent_scan_peak(model, x, 32)
 
 
 # --- region extraction -------------------------------------------------------
@@ -713,13 +789,7 @@ def test_region_distance_scratch_within_budget():
     train = np.random.default_rng(17).normal(size=(m, 2))
 
     def peak(points):
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            extract_regions(losses, xs, xs, 0.5, points, 1.0)
-            return tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        return _traced_peak(lambda: extract_regions(losses, xs, xs, 0.5, points, 1.0))
 
     coords_bytes = side * side * 2 * 8
     assert peak(train) - peak(train[:2]) <= 8 * numlin.SCRATCH_ELEMENTS + coords_bytes
