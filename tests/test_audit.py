@@ -5,9 +5,11 @@ per-cell formulations they replaced (a deque BFS with per-region
 annotation, and cell-by-cell CSV and SVG writers), kept here as references.
 """
 
+import contextlib
 import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from aeaudit.audit import (
     scan_latent_space,
     write_grid_csv,
 )
-from aeaudit import numlin
+from aeaudit import audit, numlin
 from aeaudit.anomaly import is_undetected, sample_scores, score
 from aeaudit.datagen import Dataset, SyntheticSpec, generate
 from aeaudit.errors import InputDomainError
@@ -793,3 +795,113 @@ def test_region_distance_scratch_within_budget():
 
     coords_bytes = side * side * 2 * 8
     assert peak(train) - peak(train[:2]) <= 8 * numlin.SCRATCH_ELEMENTS + coords_bytes
+
+
+# --- region distances: only the cells that can hold the minimum are scored ----
+
+
+@contextlib.contextmanager
+def scored_rows():
+    """The row count of every distance product taken inside the block."""
+    rows = []
+    real = audit._min_squared_distance
+
+    def spy(chunk, neg2_train_t, train_norms):
+        rows.append(chunk.shape[0])
+        return real(chunk, neg2_train_t, train_norms)
+
+    audit._min_squared_distance = spy
+    try:
+        yield rows
+    finally:
+        audit._min_squared_distance = real
+
+
+@st.composite
+def pruned_grids(draw):
+    """A 1-16 x 1-16 grid at a drawn coordinate scale, with a drawn share of
+    sub-epsilon cells and 1-40 training points inside, next to and far
+    outside its box. At the scale 1e150 every coordinate is at least 1e150."""
+    ny = draw(st.integers(1, 16))
+    nx = draw(st.integers(1, 16))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e3, 1e150]))
+    density = draw(st.sampled_from([0.3, 0.6, 0.9, 1.0]))
+    m = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = (rng.uniform(1.0, 2.0, 2) if scale == 1e150 else rng.uniform(-2.0, 2.0, 2)) * scale
+    span = rng.uniform(0.5, 5.0, 2) * scale
+    xs = grid_axis(lo[0], lo[0] + span[0], nx) if nx > 1 else lo[:1]
+    ys = grid_axis(lo[1], lo[1] + span[1], ny) if ny > 1 else lo[1:]
+    where = rng.uniform(-0.3, 1.3, (m, 2))  # box-relative
+    where[rng.uniform(0.0, 1.0, m) < 0.2] *= 10.0
+    train = lo + where * span
+    losses = rng.uniform(0.0, 1.0, (ny, nx))
+    return losses, xs, ys, density, train
+
+
+@given(pruned_grids(), st.sampled_from([16, 256]))
+def test_pruned_region_distance_bytes_equal_one_product(case, budget):
+    # a scratch budget this small prunes every region of more than a few
+    # cells, as a large region is pruned at the default budget
+    losses, xs, ys, epsilon, train = case
+    with scored_rows() as rows, mock.patch.object(numlin, "SCRATCH_ELEMENTS", budget):
+        regions = extract_regions(losses, xs, ys, epsilon, train, 1.0)
+    for r in regions:  # under 4096 cells: the reference takes each in one product
+        want = reference_min_dist_to_train(_region_coords(r, xs, ys), train)
+        assert np.float64(r.min_dist_to_train).tobytes() == np.float64(want).tobytes()
+    # a region of two or more cells is never scored in a 1-row product
+    assert rows.count(1) == sum(len(r.cells) == 1 for r in regions)
+    if xs[0] >= 1e150:
+        assert sum(rows) == sum(len(r.cells) for r in regions)
+
+
+@pytest.mark.parametrize("budget, scored", [(None, [8]), (4, [2])], ids=["one-product", "pruned"])
+@pytest.mark.parametrize("shape", [(1, 8), (8, 1)], ids=["row", "column"])
+def test_pruned_strip_scores_two_rows(monkeypatch, budget, scored, shape):
+    # a training point on the end node of an 8-cell strip bounds the strip's
+    # distance by 0: only that node and its neighbour can beat it, and they
+    # are scored together, never as a 1-row product; a strip whose 8 x 1
+    # squared distances fit in one scratch chunk is scored whole
+    xs = grid_axis(0.0, 7.0, 8) if shape[1] == 8 else np.array([0.0])
+    ys = grid_axis(0.0, 7.0, 8) if shape[0] == 8 else np.array([0.0])
+    train = np.array([[0.0, 0.0]])
+    if budget is not None:
+        monkeypatch.setattr(numlin, "SCRATCH_ELEMENTS", budget)
+    with scored_rows() as rows:
+        (region,) = extract_regions(np.zeros(shape), xs, ys, 0.5, train, 1.0)
+    assert rows == scored
+    want = reference_min_dist_to_train(_region_coords(region, xs, ys), train)
+    assert np.float64(region.min_dist_to_train).tobytes() == np.float64(want).tobytes()
+
+
+def test_pruned_distance_exact_on_an_uneven_axis(monkeypatch):
+    # the nearest-node mapping assumes an even axis: on this one it puts the
+    # point at x = 12.95 on the node at 10, 2.95 away, while the node at 13
+    # lies 0.05 from it, nearer than the point at x = 0.5 to its own node;
+    # the reach widens by the farthest such mapping, so 13 is scored
+    xs, ys = np.array([0.0, *range(10, 21)], dtype=float), np.array([0.0])
+    train = np.array([[0.5, 0.0], [12.95, 0.0]])
+    monkeypatch.setattr(numlin, "SCRATCH_ELEMENTS", 16)  # below 12 cells x 2 points
+    (region,) = extract_regions(np.zeros((1, xs.size)), xs, ys, 0.5, train, 1.0)
+    want = reference_min_dist_to_train(_region_coords(region, xs, ys), train)
+    assert np.float64(region.min_dist_to_train).tobytes() == np.float64(want).tobytes()
+    assert region.min_dist_to_train < 0.051
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["dense", "far"])
+def test_plane_filling_region_scores_few_cells_only_near_data(far):
+    # one 200 x 200 region over 1000 training points spread as `pca-wide`'s
+    # encodings are in its plane scores under a quarter of its cells; moved
+    # far from the data, whose nearest nodes are then the plane's corner, it
+    # scores all of them
+    side = 200
+    xs = grid_axis(-30.0, 30.0, side)
+    train = np.random.default_rng(23).normal(size=(1000, 2)) * [5.0, 3.0] + (1000.0 if far else 0.0)
+    with scored_rows() as rows:
+        (region,) = extract_regions(np.zeros((side, side)), xs, xs, 0.5, train, 1.0)
+    if far:
+        assert sum(rows) == side * side
+    else:
+        assert sum(rows) < side * side / 4
+    want = reference_min_dist_to_train(_region_coords(region, xs, xs), train)
+    assert np.float64(region.min_dist_to_train).tobytes() == np.float64(want).tobytes()

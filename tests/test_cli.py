@@ -1117,6 +1117,31 @@ def test_audit_non_finite_training_distance_exit_2_writing_nothing(tmp_path, cap
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_audit_nan_training_encoding_exit_2_writing_nothing(tmp_path, capsys):
+    # the row (10, 10) encodes to (inf, inf), then to inf - inf = nan; with
+    # the bounds and far threshold given, nothing else computes from the
+    # encodings before the regions map each one to its nearest grid node
+    model = AutoencoderModel(
+        encoder=[DenseLayer(np.array([[1e308, 1e308], [0.0, 0.0]]), np.zeros(2), "linear"),
+                 DenseLayer(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2), "linear")],
+        decoder=[DenseLayer(np.diag([1e-300, 1e-300]), np.zeros(2), "linear")],
+        input_shape=(2,),
+        latent_dim=2,
+    )
+    save_model(model, tmp_path / "nan.json")
+    save_csv(Dataset(x=np.array([[10.0, 10.0], [0.5, 0.25]])), tmp_path / "data.csv")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("audit", "--model", tmp_path / "nan.json", "--data", tmp_path / "data.csv",
+                   "--space", "latent", "--bounds=-1,1,-1,1", "--far-threshold", 1,
+                   "--resolution", "4,4", "--epsilon", 1e300, "-o", out)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert code == 2
+    assert "non-finite distance to the training data" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_attack_pgm_export(tmp_path):
     rng = Rng(14)
     images = (rng.uniforms(0.0, 1.0, (30, 8, 8)) * 255).astype(np.uint8)

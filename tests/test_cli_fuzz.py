@@ -3,7 +3,8 @@
 Every subcommand is called in-process with malformed input: number lists
 that do not parse or have the wrong count, model documents and train
 configs with one field removed or retyped (numbers past float range
-included), train configs with unknown keys,
+included, and a weight row that makes a latent audit's encoding nan while
+its bounds and far threshold are given), train configs with unknown keys,
 score baselines that are truncated, lack or repeat their score column, hold
 non-numeric or non-finite cells or are binary, and truncated IDX and CSV
 files. Whatever the input,
@@ -25,7 +26,9 @@ from hypothesis import strategies as st
 
 from aeaudit.cli import main
 from aeaudit.datagen import Dataset, save_csv, save_idx
+from aeaudit.layers import DenseLayer
 from aeaudit.models import (
+    AutoencoderModel,
     Preprocessing,
     build_conv_autoencoder,
     build_mlp_autoencoder,
@@ -64,7 +67,8 @@ def assert_not_internal(argv) -> None:
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """Well-formed inputs: a 2-column CSV with PCA, MLP and standardized MLP
-    models for it, a 4x4 IDX pair, and a 16-column CSV with a conv model."""
+    models for it, a 4x4 IDX pair, a 16-column CSV with a conv model, and a
+    2-row CSV with a linear 2-D autoencoder whose encodings are both 0."""
     root = tmp_path_factory.mktemp("fuzz")
     rng = Rng(3)
     x2 = rng.uniforms(-1.0, 1.0, (12, 2))
@@ -72,12 +76,20 @@ def files(tmp_path_factory):
     images = np.array(rng.uniforms(0.0, 255.0, (6, 4, 4)), dtype=np.uint8)
     save_idx(images, np.arange(6) % 2, root / "images.idx", root / "labels.idx")
     save_csv(Dataset(x=images.reshape(6, 16) / 255.0), root / "data16.csv")
+    save_csv(Dataset(x=np.array([[10.0, 10.0], [0.5, 0.25]])), root / "lin.csv")
     pre = Preprocessing(mean=x2.mean(axis=0), std=x2.std(axis=0))
     models = {
         "pca": (pca_fit(x2, 1), "data2.csv"),
         "mlp": (build_mlp_autoencoder([2, 3, 1, 3, 2], seed=1), "data2.csv"),
         "std": (build_mlp_autoencoder([2, 3, 2, 3, 2], seed=2, preprocessing=pre), "data2.csv"),
         "conv": (build_conv_autoencoder((4, 4), channels=(2, 2), seed=4), "data16.csv"),
+        "lin": (AutoencoderModel(
+            encoder=[DenseLayer(np.array([[1.0, 1.0], [0.0, 0.0]]), np.zeros(2), "linear"),
+                     DenseLayer(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2), "linear")],
+            decoder=[DenseLayer(np.diag([1e-300, 1e-300]), np.zeros(2), "linear")],
+            input_shape=(2,),
+            latent_dim=2,
+        ), "lin.csv"),
     }
     for name, (model, _) in models.items():
         save_model(model, root / f"{name}.json")
@@ -160,13 +172,13 @@ def broken_models(draw):
     return name, command, draw(st.integers(0, 10**6)), draw(st.sampled_from([REMOVE, *RETYPED]))
 
 
-def _run_broken_model(files, name, command, path, value):
+def _run_broken_model(files, name, command, path, value, flags=()):
     root, data = files
     doc = json.loads((root / f"{name}.json").read_text())
     (root / "broken.json").write_text(json.dumps(_mutated(doc, path, value)))
     out = root / ("out" if command == "audit" else "out.csv")
     assert_not_internal([command, "--model", root / "broken.json", "--data", root / data[name],
-                         *FAST.get(command, []), "-o", out])
+                         *FAST.get(command, []), *flags, "-o", out])
 
 
 @FUZZ
@@ -178,15 +190,22 @@ def test_model_document_with_a_field_removed_or_retyped_never_exits_1(files, cas
     _run_broken_model(files, name, command, paths[pick % len(paths)], value)
 
 
-# pairs that 40 random draws can miss: an integer past float range, and a
-# weight that puts the encodings of the training rows past it
-@pytest.mark.parametrize("name, command, path, value", [
-    pytest.param("pca", "score", ("mean", 0), 10**400, id="pca-mean-1e400-score"),
-    pytest.param("conv", "audit", ("encoder", 3, "weight", 0, 0), 1e300,
+# pairs that 40 random draws can miss: an integer past float range, a
+# weight that puts the encodings of the training rows past it, and a weight
+# row that makes one encoding inf - inf = nan; with the bounds and far
+# threshold given, nothing but the regions' distances computes from it
+@pytest.mark.parametrize("name, command, path, value, flags", [
+    pytest.param("pca", "score", ("mean", 0), 10**400, (), id="pca-mean-1e400-score"),
+    pytest.param("conv", "audit", ("encoder", 3, "weight", 0, 0), 1e300, (),
                  id="conv-encoder-weight-1e300-audit"),
+    pytest.param("lin", "audit", ("encoder", 0, "weight", 0), [1e308, 1e308],
+                 ("--space", "latent", "--bounds=-1,1,-1,1", "--far-threshold", 1,
+                  "--epsilon", 1e300),
+                 id="lin-encoder-weight-1e308-nan-latent-audit-with-bounds"),
 ])
-def test_model_document_with_a_huge_value_never_exits_1(files, name, command, path, value):
-    _run_broken_model(files, name, command, path, value)
+def test_model_document_with_a_huge_value_never_exits_1(files, name, command, path, value,
+                                                       flags):
+    _run_broken_model(files, name, command, path, value, flags)
 
 
 # --- truncated files --------------------------------------------------------------
