@@ -2,9 +2,12 @@
 
 A grid scan evaluates the model's self-reconstruction loss at every node of
 a rectangular lattice, then extracts the connected sub-epsilon regions (the
-"red zones" of a contour plot). Regions whose distance to the training data
-exceeds a threshold are out-of-bounds findings: places where the detector
-reconstructs well despite never having seen data.
+"red zones" of a contour plot). A region whose nearest cell lies farther
+than the far threshold from every training point is an out-of-bounds
+finding: a place where the detector reconstructs well despite never having
+seen data. The rule reads the nearest cell only, so a region that holds
+training data is no finding however far it reaches, and an audit without
+findings does not show that no far blind spot exists.
 
 Grid node coordinates are computed as min + (k * span) / (n - 1), which
 makes nested refinement exact: doubling the resolution to 2n-1 nodes
@@ -34,7 +37,13 @@ SCAN_BLOCK = 1024
 
 @dataclass
 class Region:
-    """A 4-connected set of grid cells whose loss is below epsilon."""
+    """A 4-connected set of grid cells whose loss is below epsilon.
+
+    out_of_bounds, the audit's verdict, is set by `extract_regions`: the
+    region's nearest cell (min_dist_to_train) lies past the far threshold.
+    A region with one cell within it, such as one holding training data, is
+    no finding however far its other cells reach.
+    """
 
     cells: list[tuple[int, int]]
     representative: tuple[int, int]  # (i, j) of the minimal-loss cell
@@ -42,9 +51,7 @@ class Region:
     representative_loss: float
     min_dist_to_train: float
     contains_training_data: bool
-
-    def out_of_bounds(self, far_threshold: float) -> bool:
-        return self.min_dist_to_train > far_threshold
+    out_of_bounds: bool
 
 
 @dataclass
@@ -66,7 +73,7 @@ class AuditGrid:
         return self.xs.shape[0], self.ys.shape[0]
 
     def out_of_bounds_regions(self) -> list[Region]:
-        return [r for r in self.regions if r.out_of_bounds(self.far_threshold)]
+        return [r for r in self.regions if r.out_of_bounds]
 
 
 def grid_axis(lo: float, hi: float, n: int) -> np.ndarray:
@@ -237,8 +244,9 @@ def extract_regions(
     """4-connected components of sub-epsilon cells, annotated with distances.
 
     A region's min_dist_to_train is the smallest distance from any of its
-    cells' coordinates to any training point; contains_training_data is set
-    when some training point's nearest grid node belongs to the region.
+    cells' coordinates to any training point, and out_of_bounds is set when
+    it exceeds far_threshold; contains_training_data is set when some
+    training point's nearest grid node belongs to the region.
     That point's distance to its node bounds the region's distance from
     above, and only the cells that could come nearer are scored (`_Reach`):
     every cell of a region without training data, or of a grid whose
@@ -315,6 +323,7 @@ def extract_regions(
                 representative_loss=float(cell_losses[best]),
                 min_dist_to_train=min_dist,
                 contains_training_data=has_data,
+                out_of_bounds=min_dist > far_threshold,
             )
         )
     return regions
@@ -424,10 +433,6 @@ def representative_input(grid: AuditGrid, model, region: Region) -> np.ndarray:
     return decode_batch(model, p)
 
 
-def has_out_of_bounds_region(grid: AuditGrid) -> bool:
-    return len(grid.out_of_bounds_regions()) > 0
-
-
 # --- exports ----------------------------------------------------------------
 
 
@@ -454,7 +459,7 @@ def audit_report(grid: AuditGrid, model_ref: str = "", seed: int | None = None) 
         "far_threshold": grid.far_threshold,
         "model_file": model_ref,
         "seed": seed,
-        "out_of_bounds_found": has_out_of_bounds_region(grid),
+        "out_of_bounds_found": bool(grid.out_of_bounds_regions()),
         "regions": [
             {
                 "cells": [list(c) for c in r.cells],
@@ -468,7 +473,7 @@ def audit_report(grid: AuditGrid, model_ref: str = "", seed: int | None = None) 
                 },
                 "min_dist_to_train": r.min_dist_to_train,
                 "contains_training_data": r.contains_training_data,
-                "out_of_bounds": r.out_of_bounds(grid.far_threshold),
+                "out_of_bounds": r.out_of_bounds,
             }
             for r in grid.regions
         ],

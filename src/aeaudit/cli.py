@@ -55,7 +55,7 @@ from .models import (
     save_model,
     write_json,
 )
-from .training import OPTIMIZERS, TrainConfig, train, write_train_report
+from .training import OPTIMIZERS, TrainConfig, train
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -202,7 +202,7 @@ def cmd_train(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(trained, out)
     if args.report:
-        write_train_report(report, args.report)
+        write_json(report.to_json_dict(), args.report)
     _say(
         f"trained {cfg.epochs} epochs in {report.wall_time_s:.2f}s, "
         f"final loss {report.final_loss:.6g}; model: {out}"
@@ -216,13 +216,13 @@ def cmd_train(args) -> int:
 def cmd_score(args) -> int:
     model = load_model(args.model)
     dataset = load_csv(args.data, has_header=args.has_header)
+    floor = min_score_in(args.baseline) if args.baseline else None
     table = score(model, dataset, convention=args.convention)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_score_csv(table, out)
     summary = table_summary(table)
-    if args.baseline:
-        floor = min_score_in(args.baseline)
+    if floor is not None:
         flagged = sorted(table.order[table.scores <= floor].tolist())
         summary["baseline_min_score"] = floor
         summary["flagged_indices"] = flagged
@@ -278,15 +278,34 @@ def cmd_audit(args) -> int:
 # --- attack -------------------------------------------------------------------------
 
 
+# the attack flags that only some methods read; their defaults apply where they are read
+METHOD_FLAGS = {
+    "z": ("latent",),
+    "delta": ("analytic", "pgd"),
+    "steps": ("pgd",),
+    "step_size": ("pgd",),
+    "restarts": ("pgd",),
+    "seed": ("pgd",),
+}
+
+
 def cmd_attack(args) -> int:
+    _refuse(args, [f for f, methods in METHOD_FLAGS.items() if args.method not in methods],
+            f"--method {args.method}")
     model = load_model(args.model)
+    if args.pgm:
+        # a (C, H, W) model gives the image's (H, W); a flat one, a square side
+        hw = model.input_shape[1:] or (math.isqrt(model.input_dim),) * 2
+        if math.prod(hw) != model.input_dim:
+            raise InputDomainError("--pgm needs an image model or a square number of features")
     dataset = load_csv(args.data, has_header=args.has_header)
+    delta = 10.0 if args.delta is None else args.delta
 
     if args.method == "analytic":
         if isinstance(model, PcaModel):
-            result = construct_pca_adversary(model, dataset.x, delta=args.delta)
+            result = construct_pca_adversary(model, dataset.x, delta=delta)
         else:
-            result = construct_linear_ae_adversary(model, dataset.x, delta=args.delta)
+            result = construct_linear_ae_adversary(model, dataset.x, delta=delta)
     elif args.method == "latent":
         if args.z is None:
             raise InputDomainError("--method latent needs --z")
@@ -297,11 +316,11 @@ def cmd_attack(args) -> int:
         result = pgd_adversary(
             model,
             dataset.x,
-            delta=args.delta,
-            steps=args.steps,
-            step_size=args.step_size,
-            restarts=args.restarts,
-            seed=args.seed,
+            delta=delta,
+            steps=500 if args.steps is None else args.steps,
+            step_size=1e-2 if args.step_size is None else args.step_size,
+            restarts=10 if args.restarts is None else args.restarts,
+            seed=0 if args.seed is None else args.seed,
         )
 
     table = score(model, dataset)
@@ -311,10 +330,6 @@ def cmd_attack(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(doc, out)
     if args.pgm:
-        # a (C, H, W) model gives the image's (H, W); a flat one, a square side
-        hw = model.input_shape[1:] or (math.isqrt(model.input_dim),) * 2
-        if math.prod(hw) != model.input_dim:
-            raise InputDomainError("--pgm needs an image model or a square number of features")
         write_pgm(result.a, hw, args.pgm)
     print(json.dumps(doc["verdict"], sort_keys=True))
     return EXIT_OK
@@ -397,12 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--data", required=True, help="training CSV (distance + criterion basis)")
     k.add_argument("--has-header", action="store_true")
     k.add_argument("--method", required=True, choices=["analytic", "pgd", "latent"])
-    k.add_argument("--delta", type=float, default=10.0)
+    k.add_argument("--delta", type=float, help="analytic and pgd (default 10)")
     k.add_argument("--z", type=_numbers(float), help="latent point for --method latent")
-    k.add_argument("--steps", type=int, default=500)
-    k.add_argument("--step-size", type=float, default=1e-2)
-    k.add_argument("--restarts", type=int, default=10)
-    k.add_argument("--seed", type=int, default=0)
+    k.add_argument("--steps", type=int, help="pgd (default 500)")
+    k.add_argument("--step-size", type=float, help="pgd (default 0.01)")
+    k.add_argument("--restarts", type=int, help="pgd (default 10)")
+    k.add_argument("--seed", type=int, help="pgd (default 0)")
     k.add_argument("-o", "--output", required=True, help="result JSON path")
     k.add_argument("--pgm", help="also dump the adversary as a PGM image")
     k.set_defaults(func=cmd_attack)

@@ -21,7 +21,7 @@ from . import numlin
 from .datagen import Dataset
 from .errors import InputDomainError, TrainingDivergedError
 from .layers import run_layers
-from .models import AutoencoderModel, save_model, write_json
+from .models import AutoencoderModel, save_model
 from .rng import Rng, derive_seed, permutations
 
 OPTIMIZERS = ("sgd", "adam")
@@ -354,7 +354,3 @@ def check_gradients(
                 denom = max(abs(fd), abs(gflat[idx]), 1e-8)
                 worst = max(worst, abs(fd - gflat[idx]) / denom)
     return worst
-
-
-def write_train_report(report: TrainReport, path) -> None:
-    write_json(report.to_json_dict(), path)

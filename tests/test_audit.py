@@ -22,7 +22,6 @@ from aeaudit.audit import (
     audit_report,
     extract_regions,
     grid_axis,
-    has_out_of_bounds_region,
     inflate_bounds,
     render_heatmap,
     representative_input,
@@ -90,7 +89,7 @@ def test_scan_input_space_pca_diagonal_toy():
         loss = float(sample_scores(model, p[None, :])[0])
         assert loss == pytest.approx(offset**2 / 2.0, rel=1e-8)
     # the zero-loss ray leaves the data: an out-of-bounds region must exist
-    assert has_out_of_bounds_region(grid)
+    assert grid.out_of_bounds_regions()
 
 
 def test_scan_input_space_rejects_wrong_dimension():
@@ -285,8 +284,8 @@ def test_region_representative_and_distances():
     assert r.representative_loss == 0.01
     # closest cell to the training point is (1,1) at coords (1,1): dist sqrt(2)
     assert r.min_dist_to_train == pytest.approx(np.sqrt(2.0))
-    assert r.out_of_bounds(0.1)
-    assert not r.out_of_bounds(10.0)
+    assert r.out_of_bounds
+    assert not extract_regions(losses, _tiny_axes(4), _tiny_axes(4), 0.5, train, 10.0)[0].out_of_bounds
 
 
 def test_region_contains_training_data_flag():
@@ -601,6 +600,25 @@ def masked_grids(draw):
 def test_extract_regions_matches_reference(case):
     losses, xs, ys, train = case
     assert_regions_match_reference(losses, xs, ys, 0.1, train)
+
+
+@given(masked_grids(), st.floats(0.0, 8.0))
+def test_region_verdict_is_distance_past_threshold_and_report_reads_it(case, far_threshold):
+    losses, xs, ys, train = case
+    regions = extract_regions(losses, xs, ys, 0.1, train, far_threshold)
+    for r in regions:
+        assert r.out_of_bounds is (r.min_dist_to_train > far_threshold)
+    grid = AuditGrid(
+        space="input2d", bounds=(xs[0], xs[-1], ys[0], ys[-1]), xs=xs, ys=ys, losses=losses,
+        epsilon=0.1, far_threshold=far_threshold, regions=regions, train_points=train,
+    )
+    report = audit_report(grid)
+    flags = [r["out_of_bounds"] for r in report["regions"]]
+    assert flags == [r.out_of_bounds for r in regions]
+    assert report["out_of_bounds_found"] is any(flags)
+    if regions:  # a region exactly at the threshold is not past it
+        tie = regions[0].min_dist_to_train
+        assert not extract_regions(losses, xs, ys, 0.1, train, tie)[0].out_of_bounds
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aeaudit.cli import main
 from aeaudit.datagen import Dataset, load_csv, load_mnist, save_csv, save_idx
@@ -329,6 +331,42 @@ def test_flag_the_mode_ignores_exit_2_naming_it(tmp_path, gaussian_csv, capsys, 
     assert code == 2
     assert f"error: {flag} does not apply to" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param(["attack", "--method", "pgd", "--steps", 1, "--restarts", 1, "--pgm", "adv.pgm"],
+                     "--pgm", id="attack-pgm-on-2-features"),
+        pytest.param(["score", "--baseline", "bad.csv"], "bad.csv", id="score-malformed-baseline"),
+        pytest.param(["attack", "--method", "latent", "--z=0.5", "--delta", 5], "--delta",
+                     id="latent-delta"),
+        pytest.param(["attack", "--method", "latent", "--z=0.5", "--steps", 3], "--steps",
+                     id="latent-steps"),
+        pytest.param(["attack", "--method", "latent", "--z=0.5", "--step-size", 0.1],
+                     "--step-size", id="latent-step-size"),
+        pytest.param(["attack", "--method", "latent", "--z=0.5", "--restarts", 9], "--restarts",
+                     id="latent-restarts"),
+        pytest.param(["attack", "--method", "latent", "--z=0.5", "--seed", 4], "--seed",
+                     id="latent-seed"),
+        pytest.param(["attack", "--method", "pgd", "--z=0.5"], "--z", id="pgd-z"),
+        pytest.param(["attack", "--method", "analytic", "--z=0.5"], "--z", id="analytic-z"),
+        pytest.param(["attack", "--method", "analytic", "--restarts", 2], "--restarts",
+                     id="analytic-restarts"),
+        pytest.param(["attack", "--method", "analytic", "--seed", 4], "--seed", id="analytic-seed"),
+    ],
+)
+def test_input_refused_before_any_output_is_written(tmp_path, gaussian_csv, capsys, argv, named):
+    model = tmp_path / "mlp.json"
+    save_model(build_mlp_autoencoder([2, 5, 1, 5, 2], seed=2), model)
+    (tmp_path / "bad.csv").write_text("index,score,label\n0,abc,\n")
+    files = {"bad.csv": tmp_path / "bad.csv", "adv.pgm": tmp_path / "adv.pgm"}
+    out = tmp_path / "out.json"
+    code = run(argv[0], "--model", model, "--data", gaussian_csv,
+               *[files.get(a, a) for a in argv[1:]], "-o", out)
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "adv.pgm").exists()
 
 
 # --- score ------------------------------------------------------------------------
@@ -679,6 +717,35 @@ def test_audit_pca_on_diagonal_toy_exits_3(tmp_path):
     assert report["out_of_bounds_found"] is True
     assert (outdir / "grid.csv").exists()
     assert (outdir / "heatmap.svg").exists()
+
+
+@pytest.fixture(scope="module")
+def pca_on_elongated_data(tmp_path_factory):
+    d = tmp_path_factory.mktemp("elongated")
+    assert run("gen-data", "--family", "gaussian", "--seed", 7, "--cov", "4,0,0,0.25",
+               "-o", d / "data.csv") == 0
+    save_model(pca_fit(load_csv(d / "data.csv").x, d=1), d / "pca.json")
+    return d
+
+
+@settings(max_examples=30, deadline=None)
+@given(epsilon=st.floats(1e-3, 4.0), far_threshold=st.floats(0.0, 16.0),
+       side=st.integers(2, 12), x0=st.floats(-40.0, 40.0), width=st.floats(1.0, 40.0))
+def test_audit_exits_3_exactly_when_report_finds(pca_on_elongated_data, epsilon, far_threshold,
+                                                side, x0, width):
+    # the zero-loss line runs along x through the data; windows on it that
+    # hold the data or lie off it give both verdicts
+    d = pca_on_elongated_data
+    out = d / "audit"
+    code = run("audit", "--model", d / "pca.json", "--data", d / "data.csv",
+               "--epsilon", epsilon, "--far-threshold", far_threshold,
+               "--resolution", f"{side},{side}", f"--bounds={x0!r},{x0 + width!r},-3,3",
+               "-o", out)
+    report = json.loads((out / "report.json").read_text())
+    flags = [r["min_dist_to_train"] > far_threshold for r in report["regions"]]
+    assert [r["out_of_bounds"] for r in report["regions"]] == flags
+    assert report["out_of_bounds_found"] is any(flags)
+    assert code == (3 if report["out_of_bounds_found"] else 0)
 
 
 def test_audit_no_finding_exits_0(tmp_path, gaussian_csv, pca_model_file):
@@ -1044,12 +1111,12 @@ def test_attack_delta_square_overflows_exit_2(tmp_path, gaussian_csv, pca_model_
                                               method):
     # 1e200 is finite, but its square is not: unchecked, the push-off's
     # ray walk never ends, so --steps 0 keeps a regression from hanging
-    model = pca_model_file
+    model, pgd_flags = pca_model_file, []
     if method == "pgd":
-        model = tmp_path / "mlp.json"
+        model, pgd_flags = tmp_path / "mlp.json", ["--steps", 0, "--restarts", 1]
         save_model(build_mlp_autoencoder([2, 5, 1, 5, 2], seed=2), model)
     code = run("attack", "--model", model, "--data", gaussian_csv, "--method", method,
-               "--delta", "1e200", "--steps", 0, "--restarts", 1, "-o", tmp_path / "adv.json")
+               "--delta", "1e200", *pgd_flags, "-o", tmp_path / "adv.json")
     assert code == 2
     err = capsys.readouterr().err
     assert "delta must be > 0 with a finite square" in err
