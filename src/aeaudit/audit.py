@@ -246,10 +246,13 @@ def extract_regions(
     A region's min_dist_to_train is the smallest distance from any of its
     cells' coordinates to any training point, and out_of_bounds is set when
     it exceeds far_threshold; contains_training_data is set when some
-    training point's nearest grid node belongs to the region.
-    That point's distance to its node bounds the region's distance from
-    above, and only the cells that could come nearer are scored (`_Reach`):
-    every cell of a region without training data, or of a grid whose
+    training point inside the grid's closed box has its nearest grid node
+    in the region (a point outside the box is nearest to an edge node, but
+    the region does not hold it).
+    Any training point's distance to its nearest node, inside the box or
+    not, bounds the distance of that node's region from above, and only
+    the cells that could come nearer are scored (`_Reach`): every cell of
+    a region that holds no point's nearest node, or of a grid whose
     coordinates come near float range. The distances are taken a chunk of
     cells at a time (`_distance_chunks`), so the scratch stays near
     `numlin.SCRATCH_ELEMENTS` squared distances whatever the region and
@@ -291,13 +294,14 @@ def extract_regions(
         train_norms = np.sum(train_points * train_points, axis=1)
     reach = _Reach(train_points, xs, ys, train_norms)
     # one labelling pass: the region of each training point's nearest node
-    # gets the flag and, from the point's distance to that node, its bound
+    # gets, from the point's distance to that node, its bound, and the flag
+    # if the point lies inside the grid's box
     label = np.full(padded.size, -1)
     label[np.concatenate(flats)] = np.repeat(np.arange(len(flats)), [f.size for f in flats])
     hit = label[(reach.i + 1) * w + reach.j + 1]
     mine = hit >= 0
     contains = np.zeros(len(flats), dtype=bool)
-    contains[hit[mine]] = True
+    contains[hit[mine & reach.inside]] = True
     bounds = np.full(len(flats), np.inf)
     np.minimum.at(bounds, hit[mine], reach.node_d2[mine])
 
@@ -340,8 +344,9 @@ _REACH_NORM2_LIMIT = 1e300
 
 
 class _Reach:
-    """Each training point's nearest grid node, and which cells can lie
-    within a squared distance of some training point.
+    """Each training point's nearest grid node, whether the point lies in
+    the grid's closed box, and which cells can lie within a squared
+    distance of some training point.
 
     A cell c whose computed distance to a point t is the region's minimum
     lies, in truth, within r of t, where r^2 is the bound plus the rounding
@@ -375,6 +380,7 @@ class _Reach:
             self._off_y = float(np.max(np.abs(np.clip(ty, ys[0], ys[-1]) - ys[self.i]), initial=0.0))
             self._step_x = float(np.diff(xs).min()) if nx > 1 else math.inf
             self._step_y = float(np.diff(ys).min()) if ny > 1 else math.inf
+        self.inside = (xs[0] <= tx) & (tx <= xs[-1]) & (ys[0] <= ty) & (ty <= ys[-1])
         self._slack = _REACH_SLACK * norm2
         self._prunes = norm2 < _REACH_NORM2_LIMIT and self._step_x > 0 and self._step_y > 0
         self._ny, self._nx, self._m = ny, nx, train_points.shape[0]

@@ -7,6 +7,7 @@ documented order, so a fixed spec reproduces bit-identical matrices anywhere.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -284,8 +285,57 @@ def _csv_records(f, path):
         raise FormatError(f"{path}: unreadable CSV in row {reader.line_num}: {exc}") from None
 
 
+# A file made only of these bytes has no quotes, carriage returns, NUL or
+# other whitespace, so `csv.reader` splits it only at "," and "\n", as
+# `np.loadtxt` does, and both skip blank lines; `loadtxt` converts a cell
+# with the function `float()` uses, so they accept the same cells, with the
+# same bits.
+_PLAIN_CSV_BYTES = b"0123456789eE+-.,\n"
+
+
+def _is_plain_csv(data: bytes) -> bool:
+    """True if `data` is made only of `_PLAIN_CSV_BYTES`, has a line that
+    is not blank and no line longer than `csv.field_size_limit()` (so no
+    cell that `csv.reader` would refuse)."""
+    return (
+        not data.translate(None, _PLAIN_CSV_BYTES)
+        and bool(data.strip(b"\n"))
+        and max(map(len, data.split(b"\n"))) <= csv.field_size_limit()
+    )
+
+
 def load_csv(path, has_header: bool = False) -> Dataset:
-    """Read a rectangular numeric CSV ('.' decimal point, UTF-8) as an unlabelled dataset."""
+    """Read a rectangular numeric CSV ('.' decimal point, UTF-8) as an unlabelled dataset.
+
+    A headerless file of only digits, "eE+-.", commas and newlines, with a
+    line that is not blank and no line over `csv.field_size_limit()`, is
+    parsed by numpy's C reader (`np.loadtxt`); every other file, and any
+    such file numpy refuses or that holds a non-finite value, goes through
+    `_load_csv_exact`. The values and every error are those of
+    `_load_csv_exact` alone.
+    """
+    if not has_header:
+        data = Path(path).read_bytes()
+        if _is_plain_csv(data):
+            try:
+                x = np.loadtxt(
+                    io.TextIOWrapper(io.BytesIO(data), encoding="ascii"),
+                    delimiter=",",
+                    dtype=np.float64,
+                    ndmin=2,
+                    comments=None,
+                )
+            except ValueError:
+                pass
+            else:
+                if np.isfinite(x).all():
+                    return Dataset(x=x)
+    return _load_csv_exact(path, has_header)
+
+
+def _load_csv_exact(path, has_header: bool = False) -> Dataset:
+    """`load_csv` through `csv.reader` and `float()`, for any file: each
+    error names the row (line) it is found in."""
     names: list[str] | None = None
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as f:
@@ -320,8 +370,8 @@ def save_csv(dataset: Dataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         if dataset.feature_names is not None:
             f.write(",".join(dataset.feature_names) + "\n")
-        for row in dataset.x:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in dataset.x.tolist():
+            f.write(",".join(map(repr, row)) + "\n")
 
 
 def standardization_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

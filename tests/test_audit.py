@@ -460,7 +460,11 @@ def reference_extract_regions(losses, xs, ys, epsilon, train_points, far_thresho
         dy = ys[1] - ys[0] if ny > 1 else 1.0
         j_idx = np.clip(np.rint((train_points[:, 0] - xs[0]) / dx), 0, nx - 1).astype(int)
         i_idx = np.clip(np.rint((train_points[:, 1] - ys[0]) / dy), 0, ny - 1).astype(int)
-        occupied = set(zip(i_idx.tolist(), j_idx.tolist()))
+        # only a point inside the grid's closed box occupies its nearest node
+        inside = [
+            xs[0] <= x <= xs[-1] and ys[0] <= y <= ys[-1] for x, y in train_points.tolist()
+        ]
+        occupied = {(i, j) for i, j, ok in zip(i_idx.tolist(), j_idx.tolist(), inside) if ok}
 
     label = 0
     for i0 in range(ny):
@@ -646,7 +650,22 @@ def test_extract_regions_matches_reference_checkerboard():
     train = np.array([[0.0, 0.0], [2.9, -2.9], [10.0, 10.0]])
     regions = assert_regions_match_reference(losses, xs, xs, 0.5, train)
     assert len(regions) == n * n // 2
-    assert sum(r.contains_training_data for r in regions) == 2
+    # (10, 10) lies outside the box: its nearest node's region does not hold it
+    assert sum(r.contains_training_data for r in regions) == 1
+
+
+def test_training_point_outside_the_grid_is_not_contained_by_an_edge_region():
+    losses = np.ones((5, 5))
+    losses[2, 4] = 0.0
+    xs = grid_axis(0.0, 1.0, 5)
+    (region,) = extract_regions(losses, xs, xs, 0.1, np.array([[100.0, 0.5]]), 3.0)
+    assert region.cells == [(2, 4)]
+    assert region.min_dist_to_train == 99.0
+    assert region.out_of_bounds
+    assert not region.contains_training_data
+    # on the box's edge the point is inside it
+    (region,) = extract_regions(losses, xs, xs, 0.1, np.array([[1.0, 0.5]]), 3.0)
+    assert region.contains_training_data and region.min_dist_to_train == 0.0
 
 
 def _export_grid(losses, epsilon, train_points, bounds=(-1.0, 2.0, -3.0, 0.5)):

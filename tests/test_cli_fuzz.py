@@ -6,8 +6,10 @@ configs with one field removed or retyped (numbers past float range
 included, and a weight row that makes a latent audit's encoding nan while
 its bounds and far threshold are given), train configs with unknown keys,
 score baselines that are truncated, lack or repeat their score column, hold
-non-numeric or non-finite cells or are binary, and truncated IDX and CSV
-files. Whatever the input,
+non-numeric or non-finite cells or are binary, truncated IDX and CSV
+files, and data CSVs of digits, signs, points and exponents that may hold
+one foreign byte (read as the exact CSV reader reads them). Whatever the
+input,
 the exit code must never be 1 (internal error): a malformed input is a
 usage or input error (2), and an input that happens to stay well formed
 runs as usual.
@@ -18,12 +20,14 @@ import io
 import json
 import math
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aeaudit import datagen
 from aeaudit.cli import main
 from aeaudit.datagen import Dataset, save_csv, save_idx
 from aeaudit.layers import DenseLayer
@@ -230,6 +234,47 @@ def test_truncated_idx_or_csv_never_exits_1(files, which, keep, command):
         argv = [command, "--model", root / "mlp.json", "--data", root / "cut-data2.csv",
                 *FAST.get(command, []), "-o", root / ("out" if command == "audit" else "out.csv")]
     assert_not_internal(argv)
+
+
+# --- data CSVs ------------------------------------------------------------------------
+
+NUMBER_CELLS = st.floats(-10.0, 10.0).map(repr)
+DATA_CELLS = st.one_of(
+    *[NUMBER_CELLS] * 6,
+    st.text(alphabet="0123456789eE+-.", max_size=4),
+    st.sampled_from(["-0.0", "1e400", "5e-324", "1e300", "-1e300"]),
+)
+
+
+@st.composite
+def data_csvs(draw):
+    """Data CSV bytes: rows of two cells (now and then one or three) and
+    blank lines over load_csv's plain alphabet, half of them with one
+    foreign byte inserted."""
+    rows = st.sampled_from([2, 2, 2, 2, 1, 3]).flatmap(
+        lambda n: st.lists(DATA_CELLS, min_size=n, max_size=n))
+    lines = draw(st.lists(st.one_of(rows, rows, rows, st.just([])), max_size=5))
+    data = "\n".join(map(",".join, lines)).encode() + draw(st.sampled_from([b"", b"\n"]))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.integers(0, 255).filter(lambda b: b not in datagen._PLAIN_CSV_BYTES))
+        data = data[:at] + bytes([byte]) + data[at:]
+    return data
+
+
+@pytest.mark.parametrize("command", ["score", "audit"])
+@FUZZ
+@given(data=data_csvs())
+def test_data_csv_reads_as_the_exact_reader_does_and_never_exits_1(files, command, data):
+    root, _ = files
+    (root / "fuzz.csv").write_bytes(data)
+    out = root / ("out" if command == "audit" else "out.csv")
+    argv = [command, "--model", root / "pca.json", "--data", root / "fuzz.csv",
+            *FAST.get(command, []), "-o", out]
+    code, said = exit_code(argv)
+    assert code != 1, f"aeaudit {' '.join(map(str, argv))} exited 1:\n{said}"
+    with mock.patch("aeaudit.cli.load_csv", datagen._load_csv_exact):
+        assert exit_code(argv) == (code, said)
 
 
 # --- train configs ------------------------------------------------------------------

@@ -1,14 +1,22 @@
 """Tests for synthetic dataset generation and file ingestion."""
 
+import csv
 import struct
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aeaudit import datagen
 from aeaudit.datagen import (
     Dataset,
     SyntheticSpec,
     _covariance_factor,
+    _is_plain_csv,
+    _load_csv_exact,
     generate,
     load_csv,
     load_mnist,
@@ -263,6 +271,111 @@ def test_csv_errors_name_row(tmp_path):
     empty.write_text("")
     with pytest.raises(FormatError, match="no data rows"):
         load_csv(empty)
+
+
+def _outcome(read, path):
+    """What a CSV reader makes of a file: the array's shape, contiguity and
+    bytes, or the text of the FormatError it raises."""
+    try:
+        x = read(path).x
+    except FormatError as exc:
+        return str(exc)
+    return x.shape, x.flags.c_contiguous, x.tobytes()
+
+
+def _assert_readers_agree(path):
+    """load_csv gives what the exact reader gives, and a plain file the
+    exact reader accepts is read without it."""
+    exact = _outcome(_load_csv_exact, path)
+    assert _outcome(load_csv, path) == exact
+    if not isinstance(exact, str) and _is_plain_csv(path.read_bytes()):
+        with mock.patch.object(datagen, "_load_csv_exact", side_effect=AssertionError("fell back")):
+            assert _outcome(load_csv, path) == exact
+    return exact
+
+
+FLOAT_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+HARD_CELLS = st.sampled_from([
+    "-0.0", "0", "+1", "-.5", "5.", "1E5", "1e+5", "1e-5", "4.9e-324", "2.4703282292062328e-324",
+    "2.2250738585072011e-308", "9007199254740993", "1.7976931348623158e308", "1e400", "-1e400",
+    "1e-400", "0." + "0" * 30 + "1", "1" * 40, "9" * 40 + "e-330",
+])
+JUNK_CELLS = st.text(alphabet="0123456789eE+-.", max_size=5)
+
+
+@st.composite
+def plain_csvs(draw):
+    """CSV bytes over the plain alphabet: rows of random width, blank lines,
+    and an optional trailing newline; a clean file has finite decimal cells
+    and rows of one width, a dirty one any cells and widths."""
+    dirty = draw(st.booleans())
+    cells = st.one_of(FLOAT_CELLS, HARD_CELLS, JUNK_CELLS) if dirty else FLOAT_CELLS
+    width = draw(st.integers(1, 5))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+            continue
+        n = draw(st.integers(1, 6)) if dirty and draw(st.booleans()) else width
+        lines.append(",".join(draw(st.lists(cells, min_size=n, max_size=n))))
+    return ("\n".join(lines) + ("\n" if draw(st.booleans()) else "")).encode()
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(max_examples=300)
+@given(data=plain_csvs())
+def test_plain_csv_reads_as_the_exact_reader_does(csv_dir, data):
+    path = csv_dir / "plain.csv"
+    path.write_bytes(data)
+    _assert_readers_agree(path)
+
+
+LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize("data, expected", [
+    pytest.param(b"1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]], id="crlf"),
+    pytest.param(b"\xef\xbb\xbf1,2\n", "non-numeric cell in row 1", id="utf8-bom"),
+    pytest.param(b'"1","2"\n3,4\n', [[1.0, 2.0], [3.0, 4.0]], id="quoted"),
+    pytest.param(b"1, 2\n", [[1.0, 2.0]], id="space"),
+    pytest.param(b"1_0,2\n", [[10.0, 2.0]], id="underscore"),
+    pytest.param(b"1,2\x00\n", "non-numeric cell in row 1", id="nul"),
+    pytest.param(b"1.5," * (LIMIT // 4) + b"2\n", (1, LIMIT // 4 + 1), id="long-line-short-cells"),
+    pytest.param(b"1,2\n3," + b"6" * (LIMIT + 1) + b"\n", "unreadable CSV in row 2",
+                 id="cell-over-limit"),
+    pytest.param(b"", "no data rows", id="empty"),
+    pytest.param(b"\n\n", "no data rows", id="newlines-only"),
+])
+def test_csv_outside_the_plain_gate_reads_as_the_exact_reader_does(tmp_path, data, expected):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(data)
+    assert not _is_plain_csv(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome = _assert_readers_agree(path)
+    if isinstance(expected, str):
+        assert expected in outcome
+    elif isinstance(expected, tuple):
+        assert outcome[0] == expected
+    else:
+        x = np.array(expected)
+        assert outcome == (x.shape, True, x.tobytes())
+
+
+def test_save_csv_writes_the_bytes_of_per_value_repr(tmp_path):
+    rng = np.random.default_rng(5)
+    bits = rng.integers(0, 2**64, size=200, dtype=np.uint64).view(np.float64)
+    special = [-0.0, 0.0, 5e-324, 2.2250738585072009e-308, -1e-310, 1e16, 1e-5, 1e22, 0.1, -2.5]
+    x = np.concatenate([bits[np.isfinite(bits)][:190], special]).reshape(-1, 5)
+    for names in (None, ["a", "b", "c", "d", "e"]):
+        save_csv(Dataset(x=x, feature_names=names), tmp_path / "new.csv")
+        head = "" if names is None else ",".join(names) + "\n"
+        old = head + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in x)
+        assert (tmp_path / "new.csv").read_bytes() == old.encode()
 
 
 def test_standardization_stats_zero_variance_guard():
